@@ -113,17 +113,18 @@ def run_tests(quick: bool) -> int:
 def run_lint() -> int:
     """Static-analysis pass: the RPL rule catalog over src/scripts/tests
     plus the committed baseline (``python -m repro.analysis --strict``),
-    then the scheduler protocol verifier (``--verify-protocol``): static
-    SQL conformance against the declared transition spec plus the bounded
-    exhaustive interleaving explorer.  See ANALYSIS.md for the catalog and
-    the suppression/baseline workflow, SCHEDULER.md for the protocol."""
+    then the scheduler protocol checks (``--verify-protocol``): the
+    self-check of the jobs-table SQL rendered from the declared transition
+    spec, plus the bounded exhaustive interleaving explorer.  See
+    ANALYSIS.md for the catalog and the suppression/baseline workflow,
+    SCHEDULER.md for the protocol."""
     sys.path.insert(0, str(REPO_ROOT / "src"))
     from repro.analysis.__main__ import main as lint_main
 
     rc = lint_main(["--strict", "--root", str(REPO_ROOT)])
     if rc != 0:
         return rc
-    return lint_main(["--verify-protocol", "--root", str(REPO_ROOT)])
+    return lint_main(["--verify-protocol"])
 
 
 def run_cache_command(command: list[str], cache_path: str, queue_path: str | None = None) -> int:

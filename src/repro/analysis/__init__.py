@@ -1,5 +1,5 @@
 """In-repo static analysis: the determinism/picklability/concurrency
-linter, the packed-program verifier, and the scheduler protocol verifier.
+linter, the packed-program verifier, and the scheduler protocol checks.
 
 Four entry points:
 
@@ -12,15 +12,17 @@ Four entry points:
   over its own instruction stream at build time (opcode validity,
   operand bounds, fused-batch aliasing, noise-plane budgets,
   probability ranges).
-* :func:`repro.analysis.protocheck.verify_scheduler_protocol` /
-  ``python -m repro.analysis --verify-protocol`` — static SQL
-  conformance of the scheduler's jobs-table DML against the declared
-  transition spec (``repro.analysis.protospec``), emitting ``RPL4xx``
-  diagnostics.
+* :func:`repro.analysis.protospec.self_check` — the scheduler's
+  jobs-table SQL is rendered from the declared transition spec
+  (``repro.analysis.protospec.SQL``); the self-check executes every
+  rendered statement against an in-memory table and confirms it does
+  what its rule declares.
 * :func:`repro.analysis.explore.explore` — bounded exhaustive
-  interleaving exploration of the lease protocol (model claimants whose
-  atomic steps mirror the real transactions), with minimal
-  counterexample traces for any safety-invariant violation.
+  interleaving exploration of the declared lease protocol (model
+  claimants whose atomic steps mirror the real transactions), with
+  minimal counterexample traces for any safety-invariant violation.
+
+``python -m repro.analysis --verify-protocol`` runs the last two.
 
 See ``ANALYSIS.md`` at the repo root for the rule catalog, suppression
 syntax, and the baseline workflow; ``SCHEDULER.md`` embeds the declared
@@ -60,14 +62,11 @@ __all__ = [
     "OperandRangeError",
     "ProgramVerificationError",
     "verify_program",
-    # lazily re-exported from repro.analysis.protocheck / .explore
-    # (the explore() function itself is imported from its submodule —
-    # the bare name would clash with the submodule attribute):
+    # lazily re-exported from repro.analysis.explore (the explore()
+    # function itself is imported from its submodule — the bare name
+    # would clash with the submodule attribute):
     "ExplorationReport",
     "ModelConfig",
-    "ProtocolReport",
-    "check_source",
-    "verify_scheduler_protocol",
 ]
 
 _PROGCHECK_NAMES = {
@@ -77,12 +76,6 @@ _PROGCHECK_NAMES = {
     "OperandRangeError",
     "ProgramVerificationError",
     "verify_program",
-}
-
-_PROTOCHECK_NAMES = {
-    "ProtocolReport",
-    "check_source",
-    "verify_scheduler_protocol",
 }
 
 _EXPLORE_NAMES = {
@@ -96,10 +89,6 @@ def __getattr__(name: str):
         from repro.analysis import progcheck
 
         return getattr(progcheck, name)
-    if name in _PROTOCHECK_NAMES:
-        from repro.analysis import protocheck
-
-        return getattr(protocheck, name)
     if name in _EXPLORE_NAMES:
         from repro.analysis import explore
 

@@ -7,7 +7,7 @@ Usage (from the repo root)::
     python -m repro.analysis --write-baseline
     python -m repro.analysis --list-rules
     python -m repro.analysis --verify-programs   # packed-program verifier
-    python -m repro.analysis --verify-protocol   # scheduler protocol verifier
+    python -m repro.analysis --verify-protocol   # spec self-check + explorer
     python -m repro.analysis path/to/file.py --profile tests
 
 Exit codes: 0 clean, 1 findings (or, under ``--strict``, stale baseline
@@ -61,27 +61,21 @@ def _verify_shipped_programs() -> int:
     return 0
 
 
-def _verify_protocol(root: Path, explore_depth: int | None) -> int:
-    """Static SQL conformance over the shipped scheduler plus a bounded
-    exhaustive interleaving exploration of the declared protocol.
+def _verify_protocol(explore_depth: int | None) -> int:
+    """Self-check the jobs-table SQL rendered from the declared transition
+    spec, then exhaustively explore claimant interleavings of the spec.
 
     Stdlib-only on purpose: CI runs this before installing anything.
     """
     from repro.analysis.explore import ModelConfig, explore
-    from repro.analysis.protocheck import verify_scheduler_protocol
-    from repro.analysis.protospec import TRANSITION_SPEC
+    from repro.analysis.protospec import SQL, self_check
 
-    scheduler = root / "src" / "repro" / "threshold" / "scheduler.py"
-    if not scheduler.is_file():
-        print(f"error: {scheduler} not found", file=sys.stderr)
-        return 2
-    report = verify_scheduler_protocol(scheduler)
-    for diag in report.diagnostics:
-        print(diag.format())
+    problems = self_check()
+    for problem in problems:
+        print(f"protospec: {problem}")
     print(
-        f"protocheck: {len(report.statements)} jobs-table statement(s) "
-        f"checked against {len(TRANSITION_SPEC) + 1} declared rules, "
-        f"{len(report.diagnostics)} finding(s)"
+        f"protospec: {len(SQL)} rendered statement(s) executed against the "
+        f"declared rules, {len(problems)} problem(s)"
     )
 
     config = ModelConfig() if explore_depth is None else ModelConfig(max_steps=explore_depth)
@@ -93,7 +87,7 @@ def _verify_protocol(root: Path, explore_depth: int | None) -> int:
         f"{exploration.states} states, {exploration.transitions} transitions, "
         f"{len(exploration.violations)} violation(s)"
     )
-    return 0 if report.ok and exploration.ok else 1
+    return 0 if not problems and exploration.ok else 1
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -144,9 +138,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--verify-protocol", action="store_true",
-        help="check the scheduler's jobs-table SQL against the declared "
-        "transition spec (protocheck) and exhaustively explore claimant "
-        "interleavings (explore)",
+        help="execute the jobs-table SQL rendered from the declared "
+        "transition spec against its rules (protospec.self_check) and "
+        "exhaustively explore claimant interleavings (explore)",
     )
     parser.add_argument(
         "--explore-depth", type=int, default=None, metavar="K",
@@ -162,9 +156,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.verify_programs:
         return _verify_shipped_programs()
 
-    root = (args.root or _find_root(Path.cwd())).resolve()
     if args.verify_protocol:
-        return _verify_protocol(root, args.explore_depth)
+        return _verify_protocol(args.explore_depth)
+    root = (args.root or _find_root(Path.cwd())).resolve()
     baseline_path = args.baseline if args.baseline is not None else root / BASELINE_NAME
     profile = None if args.profile == "auto" else args.profile
     try:

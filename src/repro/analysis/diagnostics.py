@@ -14,12 +14,17 @@ Every finding the static-analysis pass can emit is an ``RPL###`` rule
   keys — so unpicklable payloads break workers and leaked scratch state
   breaks cache identity.
 * ``RPL3xx`` — **concurrency / resource hygiene.**  Spawn-context pools,
-  process-local sqlite handles, observable fault handling, and
-  time-independent cache keys are the invariants PR 5–7 bled for.
+  process-local sqlite handles, observable fault handling,
+  time-independent cache keys, and jobs-table writes that come only from
+  the transition spec are the invariants the runtime, the result cache
+  and the scan queue rest on.
+* ``RPL308`` — **SQL visibility.**  SQL is written as static statements,
+  never assembled at runtime.
 
-The packed-program verifier (``repro.analysis.progcheck``) is the fourth
-leg of the pass; it checks compiled instruction streams rather than
-source text and therefore lives outside the rule registry.
+The packed-program verifier (``repro.analysis.progcheck``) and the
+protocol checks (``protospec.self_check`` plus the interleaving explorer)
+check compiled programs and the declared spec rather than source text,
+and therefore live outside the rule registry.
 
 Suppression syntax
 ------------------
@@ -154,66 +159,18 @@ RULES: dict[str, Rule] = {
         Rule(
             "RPL307",
             "concurrency",
-            "UPDATE statement setting state='done' without a lease_owner "
-            "guard — an unguarded terminal write lets a stale claimant "
-            "clobber the result of the lease's current owner",
+            "jobs-table DML text outside repro.analysis.protospec — the "
+            "queue executes only statements rendered from the transition "
+            "spec; a hand-written one bypasses its owner fence and source pin",
         ),
         # -- SQL visibility -------------------------------------------------
         Rule(
             "RPL308",
             "sql",
             "SQL assembled at runtime (f-string / % / .format / += / "
-            "concatenation with a non-constant) — built statements are "
-            "invisible to the protocol checker; use one static statement "
-            "per shape",
-        ),
-        # -- scheduler protocol conformance (emitted by protocheck, not the
-        # -- per-file lint; see ANALYSIS.md "The protocol verifier") --------
-        Rule(
-            "RPL401",
-            "protocol",
-            "jobs-table statement performs an undeclared transition or "
-            "defects from its declared column shape — every write must "
-            "match a TransitionRule in repro.analysis.protospec",
-        ),
-        Rule(
-            "RPL402",
-            "protocol",
-            "owner-scoped write dropped the lease fence (WHERE "
-            "lease_owner=?) — a stale claimant's write must lose, not "
-            "clobber; semantic generalization of RPL307",
-        ),
-        Rule(
-            "RPL403",
-            "protocol",
-            "identity columns written without recomputing the row checksum "
-            "in the same statement — a later claim would verify stale bytes",
-        ),
-        Rule(
-            "RPL404",
-            "protocol",
-            "fenced transition does not pin its declared source state "
-            "(WHERE state='...') or pins the wrong one — a terminal write "
-            "must be reachable only from its declared source",
-        ),
-        Rule(
-            "RPL405",
-            "protocol",
-            "lease grant missing a required stamp (lease_owner / "
-            "lease_expires_unix / heartbeat_unix / attempt charge) — an "
-            "unstamped lease can never expire or be fenced",
-        ),
-        Rule(
-            "RPL406",
-            "protocol",
-            "jobs-table SQL assembled dynamically or outside the verifiable "
-            "mini-dialect — protocheck cannot prove what it executes",
-        ),
-        Rule(
-            "RPL407",
-            "protocol",
-            "declared transition has no conforming statement — the "
-            "implementation dropped (or defected from) a protocol edge",
+            "concatenation with a non-constant) — a built statement can "
+            "smuggle a write past review; use one static statement per "
+            "shape (jobs-table writes come from protospec.SQL)",
         ),
     )
 }

@@ -1,8 +1,9 @@
 """Bounded exhaustive interleaving exploration of the lease protocol.
 
-The dynamic leg of the protocol verifier: where ``protocheck`` proves
-each SQL statement has the declared *shape*, this module proves the
-declared shapes *compose* safely under every interleaving — not just the
+The scheduler's jobs-table writes are rendered from the declared
+transition spec (:mod:`repro.analysis.protospec`), so each statement has
+its declared shape by construction; this module proves the declared
+transitions *compose* safely under every interleaving — not just the
 sampled ones the chaos suite executes.
 
 The model is a pure-Python mirror of one queue row plus N claimants
@@ -17,12 +18,12 @@ step per transaction is exactly the real granularity):
                  cache (content-addressed journal) and heartbeat the
                  lease if still owned.
 * ``complete`` — pool the durable shards and write the terminal row,
-                 fenced ``lease_owner=? AND state='leased'`` exactly
-                 like the real statement.
+                 admitted exactly when the spec's ``complete`` rule
+                 admits it (owner fence and source states).
 * ``crash``    — the claimant dies mid-lease; only the clock can free
                  the row (lease expiry).
-* ``drain``    — graceful Ctrl-C/SIGTERM: fenced requeue that refunds
-                 the attempt.
+* ``drain``    — graceful Ctrl-C/SIGTERM: the spec's ``requeue_drain``
+                 write, with its fence and its attempt refund.
 * ``tick``     — wall clock advances one lease quantum.
 
 ``explore`` enumerates **all** schedules up to a step bound via
@@ -39,17 +40,23 @@ on every state and transition:
   included),
 * **I5** drain never charges an attempt.
 
-The ``fenced_complete`` / ``fenced_requeue`` / ``refund_on_requeue`` /
-``resume_from_cache`` knobs turn individual protections *off* to model
-known-bad protocols; tests pin those to concrete counterexample traces,
-proving the explorer would catch the regression if the real protections
-ever rotted.  Stdlib-only, like everything in ``repro.analysis``.
+Fences, source states and attempt charges are read from
+``protospec.TRANSITION_SPEC`` when :func:`explore` runs (the
+``lease_grant``, ``heartbeat``, ``complete`` and ``requeue_drain``
+rules), so the model checks the protocol the queue executes.  Tests
+substitute spec mutants — a dropped fence, a dropped refund — and pin
+the concrete counterexample trace each one yields, proving the explorer
+would catch the regression if the real protections ever rotted.  The
+``resume_from_cache`` / ``double_pool`` knobs model claimant behaviour
+outside the SQL.  Stdlib-only, like everything in ``repro.analysis``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
+
+from repro.analysis import protospec
 
 __all__ = [
     "Counterexample",
@@ -76,7 +83,7 @@ def _canonical_counts(shards: int) -> tuple:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Exploration bounds plus protocol knobs (False = known-bad model)."""
+    """Exploration bounds plus claimant-behaviour knobs."""
 
     claimants: int = 2
     shards: int = 2
@@ -85,9 +92,6 @@ class ModelConfig:
     max_ticks: int = 3  # wall-clock advances (each expires a fresh lease)
     max_crashes: int = 1
     max_drains: int = 1
-    fenced_complete: bool = True  # False: terminal write skips the owner fence
-    fenced_requeue: bool = True  # False: requeue skips the owner fence
-    refund_on_requeue: bool = True  # False: drain charges the attempt
     resume_from_cache: bool = True  # False: takeover recomputes every shard
     double_pool: bool = False  # True: complete double-counts its own shards
 
@@ -153,16 +157,35 @@ class ExplorationReport:
 
 
 def _owns(job: _Job, claimant: int) -> bool:
-    """The real fence: owner matches and the row is still leased.
-
-    Expiry deliberately does not matter here — the scheduler's terminal
-    fence is ``lease_owner=? AND state='leased'``; an expired-but-not-
-    taken-over lease still completes, exactly like the real statement.
-    """
+    """The lease is this claimant's: owner matches and the row is leased."""
     return job.state == "leased" and job.owner == claimant
 
 
-def _steps(world: _World, cfg: ModelConfig) -> list:
+def _admits(rule, job: _Job, claimant: int) -> bool:
+    """Whether ``rule``'s WHERE clause admits this claimant's write.
+
+    Expiry deliberately does not matter here — the rendered fence is
+    ``lease_owner=:owner AND state='leased'``; an expired-but-not-
+    taken-over lease still completes, exactly like the real statement.
+    """
+    if rule.fenced and job.owner != claimant:
+        return False
+    return job.state in rule.sources
+
+
+def _charge(rule, attempts: int) -> int:
+    """The attempt counter after ``rule`` writes it."""
+    expr = dict(rule.sets).get("attempts")
+    if expr is None:
+        return attempts
+    if expr == "attempts+1":
+        return attempts + 1
+    if expr == "MAX(attempts-1, 0)":
+        return max(attempts - 1, 0)
+    raise ValueError(f"the explorer cannot model {rule.name}'s attempts={expr}")
+
+
+def _steps(world: _World, cfg: ModelConfig, spec: dict) -> list:
     out: list = []
     job = world.job
 
@@ -197,7 +220,7 @@ def _steps(world: _World, cfg: ModelConfig) -> list:
                         state="leased",
                         owner=i,
                         expires=world.clock + 1,
-                        attempts=job.attempts + 1,
+                        attempts=_charge(spec["lease_grant"], job.attempts),
                     )
                     if cfg.resume_from_cache:
                         remaining = tuple(
@@ -225,7 +248,7 @@ def _steps(world: _World, cfg: ModelConfig) -> list:
             if claimant.remaining:
                 shard = claimant.remaining[0]
                 new_job = job
-                if _owns(job, i):
+                if _admits(spec["heartbeat"], job, i):
                     # Heartbeat rides the shard boundary (on_shard_complete).
                     new_job = replace(job, expires=world.clock + 1)
                 new_claimants = _with(
@@ -253,7 +276,7 @@ def _steps(world: _World, cfg: ModelConfig) -> list:
                 stopped = _with(
                     world.claimants, i, replace(claimant, phase="stopped")
                 )
-                if cfg.fenced_complete and not owns:
+                if not _admits(spec["complete"], job, i):
                     out.append(
                         _Step(
                             f"{tag}.complete -> lost the fence (stale), no-op",
@@ -315,7 +338,7 @@ def _steps(world: _World, cfg: ModelConfig) -> list:
                 stopped = _with(
                     world.claimants, i, replace(claimant, phase="stopped")
                 )
-                if cfg.fenced_requeue and not owns:
+                if not _admits(spec["requeue_drain"], job, i):
                     out.append(
                         _Step(
                             f"{tag}.drain -> lost the fence (stale), no-op",
@@ -331,9 +354,7 @@ def _steps(world: _World, cfg: ModelConfig) -> list:
                             f"requeue by {tag} without the lease "
                             f"(owner={job.owner}, state={job.state})"
                         )
-                    attempts = (
-                        job.attempts - 1 if cfg.refund_on_requeue else job.attempts
-                    )
+                    attempts = _charge(spec["requeue_drain"], job.attempts)
                     if owns and attempts != claimant.charged - 1:
                         violations.append(
                             f"drain charged the attempt (attempts would be "
@@ -344,7 +365,7 @@ def _steps(world: _World, cfg: ModelConfig) -> list:
                         state="pending",
                         owner=None,
                         expires=None,
-                        attempts=max(attempts, 0),
+                        attempts=attempts,
                     )
                     out.append(
                         _Step(
@@ -412,6 +433,7 @@ def explore(config: ModelConfig | None = None) -> ExplorationReport:
     parent pointers) is a minimal counterexample schedule.
     """
     cfg = config if config is not None else ModelConfig()
+    spec = {rule.name: rule for rule in protospec.TRANSITION_SPEC}
     initial = _World(claimants=tuple(_Claimant() for _ in range(cfg.claimants)))
     report = ExplorationReport(config=cfg)
 
@@ -427,7 +449,7 @@ def explore(config: ModelConfig | None = None) -> ExplorationReport:
         if depth >= cfg.max_steps:
             report.truncated = True
             continue
-        for step in _steps(world, cfg):
+        for step in _steps(world, cfg, spec):
             report.transitions += 1
             violations = list(step.violations) + _state_violations(step.world, cfg)
             if violations:

@@ -30,11 +30,13 @@ next PR from quietly eroding any of that:
   the claimant that must decide whether the lease expired.  Lease
   arithmetic is the one place wall-clock ``time.time()`` is *required*
   (the dual of RPL305).
-* RPL307 — a SQL ``UPDATE`` string that sets ``state='done'`` without
-  ``lease_owner`` in it: the owner guard on terminal writes is the
-  scheduler's double-claim firewall; an unguarded completion lets a
-  stalled claimant whose lease was taken over clobber the successor's
-  row.
+* RPL307 — jobs-table DML text (an update, insert, replace or delete
+  on the scan queue's ``jobs`` table) anywhere outside
+  ``repro.analysis.protospec``.  The queue executes only statements
+  rendered from the declared transition spec, which is what puts the
+  owner fence — the double-claim firewall — on every lease-holder write
+  and a source-state pin on every other; a hand-written statement would
+  bypass both.
 """
 
 from __future__ import annotations
@@ -56,10 +58,15 @@ _MONOTONIC_CHAINS = {
     ("time", "perf_counter"),
     ("time", "perf_counter_ns"),
 }
-_TERMINAL_UPDATE_RE = re.compile(
-    r"\bUPDATE\b.*\bSET\b.*\bstate\s*=\s*'done'", re.IGNORECASE | re.DOTALL
+# A string that *starts* as a write to the jobs table; prose that merely
+# mentions one mid-sentence is not SQL.
+_JOBS_DML_RE = re.compile(
+    r"^\s*(?:UPDATE\s+jobs\s+SET|(?:INSERT|REPLACE)(?:\s+OR\s+\w+)?\s+INTO\s+jobs"
+    r"|DELETE\s+FROM\s+jobs)\b",
+    re.IGNORECASE,
 )
-_OWNER_GUARD_RE = re.compile(r"\blease_owner\b", re.IGNORECASE)
+# The one module allowed to hold jobs DML: it renders it from the spec.
+_SPEC_MODULE = "repro/analysis/protospec.py"
 _WALL_CLOCK_CHAINS = {
     ("time", "time"),
     ("time", "time_ns"),
@@ -320,18 +327,19 @@ class _Visitor(ast.NodeVisitor):
     def visit_Constant(self, node: ast.Constant) -> None:
         if (
             isinstance(node.value, str)
-            and _TERMINAL_UPDATE_RE.search(node.value)
-            and not _OWNER_GUARD_RE.search(node.value)
+            and _JOBS_DML_RE.match(node.value)
+            and not self.ctx.path.replace("\\", "/").endswith(_SPEC_MODULE)
         ):
             self.diags.append(
                 Diagnostic(
                     "RPL307",
                     self.ctx.path,
                     node.lineno,
-                    "UPDATE sets state='done' with no lease_owner in the "
-                    "statement; terminal writes must be owner-guarded "
-                    "(WHERE ... AND lease_owner = ?) or a stale claimant "
-                    "can clobber the current owner's result",
+                    "jobs-table DML outside repro.analysis.protospec; the "
+                    "queue executes only statements rendered from the "
+                    "transition spec (protospec.SQL), which carry the "
+                    "declared owner fence or source pin — declare a "
+                    "TransitionRule instead",
                     _snippet(self.ctx, node),
                 )
             )

@@ -1,13 +1,17 @@
 """SQL-assembly rule (RPL308).
 
-The protocol checker (``repro.analysis.protocheck``) can only verify SQL
-it can *see*: static string literals (including implicit and constant
-``+`` concatenation).  SQL assembled at runtime — f-strings, ``%``
-formatting, ``.format()``, ``sql += " WHERE ..."`` accumulation, or
-concatenation with a non-constant — is invisible to the conformance
-pass, so a future transition could ship inside a built string and never
-be checked.  RPL308 flags every such assembly site; the fix is one
-static statement per shape (branch in Python, not in the string).
+Review and lint can only vouch for SQL they can *see*: static string
+literals (including implicit and constant ``+`` concatenation).  SQL
+assembled at runtime — f-strings, ``%`` formatting, ``.format()``,
+``sql += " WHERE ..."`` accumulation, or concatenation with a
+non-constant — hides what actually executes: a jobs-table write built
+from fragments would slip past RPL307's "no jobs DML outside the
+transition spec" check, and any other statement past review.  RPL308
+flags every such assembly site; the fix is one static statement per
+shape (branch in Python, not in the string).  The one place SQL is
+assembled on purpose is ``repro.analysis.protospec.render``, which
+renders the jobs-table writes from the declared spec — as return
+values, never in a SQL position.
 
 Precision: a keyword match alone is not enough — error messages and
 docstrings legitimately *talk about* SQL ("expected = after SET
@@ -130,9 +134,9 @@ class _Visitor(ast.NodeVisitor):
                 path=self.ctx.path,
                 line=node.lineno,
                 message=(
-                    f"SQL assembled at runtime ({how}) — built statements are "
-                    "invisible to the protocol checker (protocheck); use one "
-                    "static statement per shape and branch in Python"
+                    f"SQL assembled at runtime ({how}) — a built statement "
+                    "hides what executes from review and from RPL307; use "
+                    "one static statement per shape and branch in Python"
                 ),
                 snippet=line,
             )

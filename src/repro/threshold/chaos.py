@@ -300,15 +300,6 @@ class ChaosConnection:
                 parameters = _tamper_shard_params(sql, parameters)
         return self._conn.execute(sql, parameters)
 
-    def executescript(self, script: str):  # noqa: ANN201
-        return self._conn.executescript(script)
-
-    def commit(self) -> None:
-        self._conn.commit()
-
-    def close(self) -> None:
-        self._conn.close()
-
     def __getattr__(self, name: str):
         return getattr(self._conn, name)
 

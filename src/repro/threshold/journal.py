@@ -44,30 +44,30 @@ replay silently:
   are **quarantined** (moved to a ``quarantine`` table, with a
   :class:`CacheCorrupt` warning) and the shard is recomputed — bit-for-bit
   identical, shards are pure functions of their specs;
-* the schema carries a ``PRAGMA user_version``: an old layout is migrated
-  in place, an unknown/newer one is refused (:class:`JournalSchemaError`)
-  rather than guessed at;
-* ``PRAGMA integrity_check`` runs on every open, so a torn WAL or
-  bit-rotted page surfaces as a :class:`sqlite3.DatabaseError` at open
-  time (which the runtime degrades on) instead of as garbage counts;
+* the file opens through :class:`repro.threshold.store.SqliteStore`: a
+  torn WAL or bit-rotted page fails the integrity check at open (which the
+  runtime degrades on) instead of replaying garbage counts; the version-0
+  layout is migrated in place, and an unknown layout or someone else's
+  database is refused (:class:`JournalSchemaError`), never guessed at;
 * :meth:`register_run` validates pre-existing metadata under the same run
   key and raises :class:`JournalMismatch` on conflict instead of silently
   keeping stale rows.
 
-This layer *raises* on storage faults; the policy of surviving them
-(bounded lock retry, degrade-to-uncheckpointed with a ``JournalDegraded``
-warning) lives with the rest of the resilience policy in
-:mod:`repro.threshold.runtime`.
+This layer *raises* on storage faults (after the store's bounded lock
+retry); the policy of surviving them (degrade-to-uncheckpointed with a
+``JournalDegraded`` warning) lives with the rest of the resilience policy
+in :mod:`repro.threshold.runtime`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import pickle
-import sqlite3
 import time
 import warnings
 from pathlib import Path
+
+from repro.threshold.store import JournalSchemaError, SqliteStore
 
 __all__ = [
     "CacheCorrupt",
@@ -129,12 +129,6 @@ class JournalMismatch(RuntimeError):
     """A journal row contradicts the run it claims to belong to (stale or
     conflicting run metadata under the same key) — the journal is corrupt
     or a run-key collision occurred; refusing to treat it as this run's."""
-
-
-class JournalSchemaError(RuntimeError):
-    """The journal file carries an unknown ``PRAGMA user_version`` (newer
-    code wrote it, or it is not a journal at all).  Explicitly refused —
-    migrate with the version that created it, or point at a fresh path."""
 
 
 class CacheCorrupt(UserWarning):
@@ -199,6 +193,34 @@ def row_checksum(run_key: str, shard_index: int, shots: int, failures: int) -> s
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+def _migrate_v0(conn, path: Path) -> None:
+    """In-place upgrade of a version-0 journal: add the checksum and
+    physics-key columns and backfill checksums so existing rows keep
+    replaying (their integrity is assumed-good once, at migration —
+    exactly what v0 semantics already were).  Runs inside the store's
+    schema transaction."""
+    shard_cols = {r[1] for r in conn.execute("PRAGMA table_info(shard_results)")}
+    run_cols = {r[1] for r in conn.execute("PRAGMA table_info(runs)")}
+    if not (_V0_SHARD_COLUMNS <= shard_cols and _V0_RUN_COLUMNS <= run_cols):
+        raise JournalSchemaError(
+            f"{path} has user_version=0 but does not match the v0 journal "
+            f"layout; refusing to migrate an unrecognized schema"
+        )
+    if "checksum" not in shard_cols:
+        conn.execute("ALTER TABLE shard_results ADD COLUMN checksum TEXT")
+        rows = conn.execute(
+            "SELECT run_key, shard_index, shots, failures FROM shard_results"
+        ).fetchall()
+        for run_key, idx, shots, failures in rows:
+            conn.execute(
+                "UPDATE shard_results SET checksum = ? "
+                "WHERE run_key = ? AND shard_index = ?",
+                (row_checksum(run_key, idx, shots, failures), run_key, idx),
+            )
+    if "physics_key" not in run_cols:
+        conn.execute("ALTER TABLE runs ADD COLUMN physics_key TEXT")
+
+
 class CheckpointJournal:
     """Sqlite/WAL journal of completed shards, one commit per shard.
 
@@ -215,104 +237,19 @@ class CheckpointJournal:
     """
 
     def __init__(self, path: str | Path, io_chaos=None) -> None:
-        self.path = Path(path)
-        self._closed = False
-        conn = sqlite3.connect(str(self.path), timeout=30.0)
-        if io_chaos is not None:
-            from repro.threshold.chaos import ChaosConnection
-
-            conn = ChaosConnection(conn, io_chaos)
-        self._conn = conn
-        try:
-            # A torn WAL or bit-rotted page must surface here, at open, as
-            # a DatabaseError the runtime can degrade on — never later as
-            # garbage counts.  (On a corrupt file this either reports the
-            # damage or raises "file is not a database" itself.)
-            status = self._conn.execute("PRAGMA integrity_check").fetchone()[0]
-            if status != "ok":
-                raise sqlite3.DatabaseError(
-                    f"integrity_check failed for {self.path}: {status}"
-                )
-            self._ensure_schema()
-            # WAL keeps readers unblocked during the per-shard commits and
-            # makes a mid-commit kill recoverable; NORMAL sync is durable to
-            # application crash (the case we defend against) without fsync
-            # per shard.
-            self._conn.execute("PRAGMA journal_mode=WAL")
-            self._conn.execute("PRAGMA synchronous=NORMAL")
-            self._conn.commit()
-        except BaseException:
-            self._closed = True
-            try:
-                conn.close()
-            except (sqlite3.Error, OSError):
-                # Cleanup on the failure path: the original open/schema
-                # error is already propagating and is the observable fault;
-                # a close error on a broken handle adds nothing.
-                pass
-            raise
-
-    def __getstate__(self) -> None:
-        """Sqlite connections are process-local: a journal that rode a
-        worker payload across the spawn boundary would arrive as a dead
-        handle.  Refuse at pickle time, where the mistake is visible —
-        workers never journal; only the driver process records results."""
-        raise TypeError(
-            "CheckpointJournal holds a process-local sqlite connection and "
-            "cannot be pickled; pass the journal *path* and reopen in the "
-            "receiving process instead"
+        self._store = SqliteStore(
+            path,
+            kind="checkpoint journal",
+            schema=_SCHEMA,
+            version=_SCHEMA_VERSION,
+            migrate_v0=_migrate_v0,
+            io_chaos=io_chaos,
         )
+        self.path = self._store.path
 
-    # -- schema --------------------------------------------------------
-    def _ensure_schema(self) -> None:
-        """Create, migrate, or refuse — never guess at a layout."""
-        version = int(self._conn.execute("PRAGMA user_version").fetchone()[0])
-        if version == 0:
-            legacy = self._conn.execute(
-                "SELECT name FROM sqlite_master WHERE type='table' "
-                "AND name='shard_results'"
-            ).fetchone()
-            if legacy is not None:
-                self._migrate_v0()
-        elif version != _SCHEMA_VERSION:
-            raise JournalSchemaError(
-                f"{self.path} carries schema user_version={version}; this "
-                f"code writes version {_SCHEMA_VERSION} and refuses to "
-                f"guess at an unknown layout — use the code that created "
-                f"it, or point at a fresh path"
-            )
-        self._conn.executescript(_SCHEMA)
-        self._conn.execute(f"PRAGMA user_version = {_SCHEMA_VERSION}")
-        self._conn.commit()
-
-    def _migrate_v0(self) -> None:
-        """In-place upgrade of a PR 6 journal: add the checksum and
-        physics-key columns and backfill checksums so existing rows keep
-        replaying (their integrity is assumed-good once, at migration —
-        exactly what v0 semantics already were)."""
-        shard_cols = {
-            r[1] for r in self._conn.execute("PRAGMA table_info(shard_results)")
-        }
-        run_cols = {r[1] for r in self._conn.execute("PRAGMA table_info(runs)")}
-        if not (_V0_SHARD_COLUMNS <= shard_cols and _V0_RUN_COLUMNS <= run_cols):
-            raise JournalSchemaError(
-                f"{self.path} has user_version=0 but does not match the v0 "
-                f"journal layout; refusing to migrate an unrecognized schema"
-            )
-        if "checksum" not in shard_cols:
-            self._conn.execute("ALTER TABLE shard_results ADD COLUMN checksum TEXT")
-            rows = self._conn.execute(
-                "SELECT run_key, shard_index, shots, failures FROM shard_results"
-            ).fetchall()
-            for run_key, idx, shots, failures in rows:
-                self._conn.execute(
-                    "UPDATE shard_results SET checksum = ? "
-                    "WHERE run_key = ? AND shard_index = ?",
-                    (row_checksum(run_key, idx, shots, failures), run_key, idx),
-                )
-        if "physics_key" not in run_cols:
-            self._conn.execute("ALTER TABLE runs ADD COLUMN physics_key TEXT")
-        self._conn.commit()
+    @property
+    def _conn(self):
+        return self._store.conn
 
     # -- recording -----------------------------------------------------
     def register_run(
@@ -331,12 +268,19 @@ class CheckpointJournal:
         corrupt — raise :class:`JournalMismatch` instead of silently
         keeping it, as ``INSERT OR IGNORE`` used to.
         """
-        row = self._conn.execute(
-            "SELECT kind, shots, num_shards FROM runs WHERE run_key = ?",
-            (run_key,),
-        ).fetchone()
-        if row is not None:
-            if (row[0], int(row[1]), int(row[2])) != (kind, int(shots), int(num_shards)):
+
+        def _txn() -> None:
+            row = self._conn.execute(
+                "SELECT kind, shots, num_shards FROM runs WHERE run_key = ?",
+                (run_key,),
+            ).fetchone()
+            if row is None:
+                self._conn.execute(
+                    "INSERT INTO runs (run_key, kind, shots, num_shards, "
+                    "physics_key, created_unix) VALUES (?, ?, ?, ?, ?, ?)",
+                    (run_key, kind, int(shots), int(num_shards), physics_key, time.time()),
+                )
+            elif (row[0], int(row[1]), int(row[2])) != (kind, int(shots), int(num_shards)):
                 raise JournalMismatch(
                     f"run {run_key[:12]}… is already registered as "
                     f"(kind={row[0]!r}, shots={row[1]}, num_shards={row[2]}) "
@@ -344,73 +288,72 @@ class CheckpointJournal:
                     f"num_shards={num_shards}) — the stored metadata is "
                     f"stale or corrupt"
                 )
-            if physics_key is not None:
+            elif physics_key is not None:
                 self._conn.execute(
                     "UPDATE runs SET physics_key = ? "
                     "WHERE run_key = ? AND physics_key IS NULL",
                     (physics_key, run_key),
                 )
-                self._conn.commit()
-            return
-        self._conn.execute(
-            "INSERT INTO runs (run_key, kind, shots, num_shards, physics_key, "
-            "created_unix) VALUES (?, ?, ?, ?, ?, ?)",
-            (run_key, kind, int(shots), int(num_shards), physics_key, time.time()),
-        )
-        self._conn.commit()
+
+        self._store.transaction(_txn)
 
     def record_shard(
         self, run_key: str, shard_index: int, shots: int, failures: int
     ) -> None:
         """Persist one finished shard — committed immediately (crash-safe),
         checksummed so a later corruption can never replay silently."""
-        self._conn.execute(
-            "INSERT OR REPLACE INTO shard_results "
-            "(run_key, shard_index, shots, failures, checksum, recorded_unix) "
-            "VALUES (?, ?, ?, ?, ?, ?)",
-            (
-                run_key,
-                int(shard_index),
-                int(shots),
-                int(failures),
-                row_checksum(run_key, shard_index, shots, failures),
-                time.time(),
-            ),
+        params = (
+            run_key,
+            int(shard_index),
+            int(shots),
+            int(failures),
+            row_checksum(run_key, shard_index, shots, failures),
+            time.time(),
         )
-        self._conn.commit()
+        self._store.transaction(
+            lambda: self._conn.execute(
+                "INSERT OR REPLACE INTO shard_results "
+                "(run_key, shard_index, shots, failures, checksum, recorded_unix) "
+                "VALUES (?, ?, ?, ?, ?, ?)",
+                params,
+            )
+        )
 
     # -- quarantine ----------------------------------------------------
     def quarantine_shard(self, run_key: str, shard_index: int, reason: str) -> None:
         """Move one shard row out of the replay path, preserving it for
         forensics; the shard will be recomputed on the next run."""
-        self._conn.execute(
-            "INSERT INTO quarantine (run_key, shard_index, shots, failures, "
-            "checksum, reason, quarantined_unix) "
-            "SELECT run_key, shard_index, shots, failures, checksum, ?, ? "
-            "FROM shard_results WHERE run_key = ? AND shard_index = ?",
-            (reason, time.time(), run_key, int(shard_index)),
-        )
-        self._conn.execute(
-            "DELETE FROM shard_results WHERE run_key = ? AND shard_index = ?",
-            (run_key, int(shard_index)),
-        )
-        self._conn.commit()
+
+        def _txn() -> None:
+            self._conn.execute(
+                "INSERT INTO quarantine (run_key, shard_index, shots, failures, "
+                "checksum, reason, quarantined_unix) "
+                "SELECT run_key, shard_index, shots, failures, checksum, ?, ? "
+                "FROM shard_results WHERE run_key = ? AND shard_index = ?",
+                (reason, time.time(), run_key, int(shard_index)),
+            )
+            self._conn.execute(
+                "DELETE FROM shard_results WHERE run_key = ? AND shard_index = ?",
+                (run_key, int(shard_index)),
+            )
+
+        self._store.transaction(_txn)
 
     def quarantine_run(self, run_key: str, reason: str) -> None:
         """Quarantine every shard row of a run and drop its registration
         (used when the run *metadata* itself fails validation)."""
-        self._conn.execute(
-            "INSERT INTO quarantine (run_key, shard_index, shots, failures, "
-            "checksum, reason, quarantined_unix) "
-            "SELECT run_key, shard_index, shots, failures, checksum, ?, ? "
-            "FROM shard_results WHERE run_key = ?",
-            (reason, time.time(), run_key),
-        )
-        self._conn.execute(
-            "DELETE FROM shard_results WHERE run_key = ?", (run_key,)
-        )
-        self._conn.execute("DELETE FROM runs WHERE run_key = ?", (run_key,))
-        self._conn.commit()
+
+        def _txn() -> None:
+            self._conn.execute(
+                "INSERT INTO quarantine (run_key, shard_index, shots, failures, "
+                "checksum, reason, quarantined_unix) "
+                "SELECT run_key, shard_index, shots, failures, checksum, ?, ? "
+                "FROM shard_results WHERE run_key = ?",
+                (reason, time.time(), run_key),
+            )
+            self._drop_run(run_key)
+
+        self._store.transaction(_txn)
 
     # -- replay / cache reads ------------------------------------------
     def completed_shards(
@@ -491,11 +434,13 @@ class CheckpointJournal:
 
     def clear_run(self, run_key: str) -> None:
         """Drop a run's shards (``resume=False`` starts it from scratch)."""
+        self._store.transaction(lambda: self._drop_run(run_key))
+
+    def _drop_run(self, run_key: str) -> None:
         self._conn.execute(
             "DELETE FROM shard_results WHERE run_key = ?", (run_key,)
         )
         self._conn.execute("DELETE FROM runs WHERE run_key = ?", (run_key,))
-        self._conn.commit()
 
     def runs(self) -> list[tuple[str, str, int, int]]:
         """All registered runs as ``(run_key, kind, shots, num_shards)``."""
@@ -577,12 +522,15 @@ class CheckpointJournal:
             incomplete.append(run_key)
         for run_key in incomplete:
             self.clear_run(run_key)
-        quarantined = self._conn.execute("DELETE FROM quarantine").rowcount
-        orphans = self._conn.execute(
-            "DELETE FROM shard_results WHERE run_key NOT IN "
-            "(SELECT run_key FROM runs)"
-        ).rowcount
-        self._conn.commit()
+        quarantined, orphans = self._store.transaction(
+            lambda: (
+                self._conn.execute("DELETE FROM quarantine").rowcount,
+                self._conn.execute(
+                    "DELETE FROM shard_results WHERE run_key NOT IN "
+                    "(SELECT run_key FROM runs)"
+                ).rowcount,
+            )
+        )
         self._conn.execute("VACUUM")
         return {
             "incomplete_runs_dropped": len(incomplete),
@@ -596,17 +544,7 @@ class CheckpointJournal:
     def close(self) -> None:
         """Idempotent close; checkpoints and truncates the WAL first so a
         cleanly closed journal leaves no ``-wal``/``-shm`` litter behind."""
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            self._conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
-        except sqlite3.Error:
-            pass  # best effort — close must never raise over WAL hygiene
-        try:
-            self._conn.close()
-        except sqlite3.Error:
-            pass
+        self._store.close()
 
     def __enter__(self) -> "CheckpointJournal":
         return self

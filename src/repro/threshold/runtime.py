@@ -27,10 +27,10 @@ every completed shard.  This module replaces it with per-shard ``submit``
   fully cached run returns its pooled counts without ever touching a
   worker pool;
 * **a storage-fault firewall** — every journal open/read/write goes
-  through :class:`_ResilientJournal`: transient lock contention gets a
-  bounded retry with backoff, any other ``sqlite3`` / ``OSError`` fault
-  (disk full, readonly filesystem, torn WAL, corrupt file) degrades the
-  run to *uncheckpointed* execution with a
+  through :class:`_ResilientJournal`: any ``sqlite3`` / ``OSError`` fault
+  that survives the store's bounded lock retry (disk full, readonly
+  filesystem, torn WAL, corrupt file, a lock burst past the budget)
+  degrades the run to *uncheckpointed* execution with a
   :class:`~repro.threshold.journal.JournalDegraded` warning — storage
   faults may cost durability and cache reuse, never the run — and rows
   failing checksum/plan validation are quarantined
@@ -71,7 +71,6 @@ from repro.threshold.journal import (
     CheckpointJournal,
     JournalDegraded,
     JournalMismatch,
-    JournalSchemaError,
 )
 
 __all__ = [
@@ -93,9 +92,6 @@ _BACKOFF_CAP = 5.0
 _CHAOS_EXIT_CODE = 13
 # Budget for reaping workers at interpreter exit / pool replacement.
 _REAP_SECONDS = 2.0
-# Bounded retry budget for transient journal lock contention ("database is
-# locked"/"busy") before a write degrades the run to uncheckpointed.
-_JOURNAL_LOCK_RETRIES = 4
 
 
 # ----------------------------------------------------------------------
@@ -155,10 +151,10 @@ class ResilienceOptions:
 
     ``max_retries`` bounds *re*-executions per shard (total attempts =
     ``1 + max_retries``).  ``shard_timeout=None`` disables hung-worker
-    detection.  ``backoff`` seeds the exponential retry/rebuild sleep
-    (shard retries *and* journal lock retries).  ``checkpoint`` names the
-    journal/result-cache database; ``resume=False`` clears any prior rows
-    for this run key first.  ``chaos`` deterministically injects worker
+    detection.  ``backoff`` seeds the exponential shard retry/pool
+    rebuild sleep.  ``checkpoint`` names the journal/result-cache
+    database; ``resume=False`` clears any prior rows for this run key
+    first.  ``chaos`` deterministically injects worker
     faults and ``io_chaos`` storage faults (tests only).  ``degrade=False``
     turns exhaustion into :class:`ShardRetryExhausted` instead of
     in-process fallback (journal degradation is never fatal regardless —
@@ -291,15 +287,10 @@ atexit.register(_shutdown_pools)
 # ----------------------------------------------------------------------
 # Storage-fault firewall.
 # ----------------------------------------------------------------------
-def _is_lock_error(exc: sqlite3.OperationalError) -> bool:
-    text = str(exc).lower()
-    return "locked" in text or "busy" in text
-
-
 class _ResilientJournal:
     """Wraps :class:`CheckpointJournal` in the run's fault philosophy:
-    every operation either succeeds (after a bounded lock-contention
-    retry) or degrades the run to uncheckpointed execution with a
+    every operation either succeeds (the store already retried lock
+    contention) or degrades the run to uncheckpointed execution with a
     :class:`JournalDegraded` warning — a storage fault may cost durability
     and cache reuse, never the run itself.
 
@@ -311,13 +302,10 @@ class _ResilientJournal:
     def __init__(self, checkpoint: str | Path, run_key: str, opts: "ResilienceOptions") -> None:
         self._journal: CheckpointJournal | None = None
         self._run_key = run_key
-        self._backoff = opts.backoff
+        # JournalSchemaError is not caught: migrate-or-refuse is a user
+        # decision (wrong file / newer writer), not a runtime fault.
         try:
             self._journal = CheckpointJournal(checkpoint, io_chaos=opts.io_chaos)
-        except JournalSchemaError:
-            # Deliberate migration-or-refuse: an unknown schema is a user
-            # decision (wrong file / newer writer), not a runtime fault.
-            raise
         except (sqlite3.Error, OSError) as exc:
             self._degrade("opening", exc)
 
@@ -334,33 +322,19 @@ class _ResilientJournal:
             stacklevel=5,
         )
         if self._journal is not None:
-            try:
-                self._journal.close()
-            except (sqlite3.Error, OSError):
-                # Best-effort close of an already-degraded journal: the
-                # JournalDegraded warning above is the observable record of
-                # the fault; a second failure here adds nothing.
-                pass
+            self._journal.close()
         self._journal = None
 
     def _attempt(self, doing: str, fn):
-        """Run one journal operation; retry lock contention, degrade on
-        anything else.  Returns the operation's result or None."""
+        """Run one journal operation; degrade on any storage fault.
+        Returns the operation's result or None."""
         if self._journal is None:
             return None
-        for attempt in range(1, 2 + _JOURNAL_LOCK_RETRIES):
-            try:
-                return fn()
-            except sqlite3.OperationalError as exc:
-                if _is_lock_error(exc) and attempt <= _JOURNAL_LOCK_RETRIES:
-                    _backoff_sleep(self._backoff, attempt)
-                    continue
-                self._degrade(doing, exc)
-                return None
-            except (sqlite3.Error, OSError) as exc:
-                self._degrade(doing, exc)
-                return None
-        return None  # pragma: no cover - loop always returns or degrades
+        try:
+            return fn()
+        except (sqlite3.Error, OSError) as exc:
+            self._degrade(doing, exc)
+            return None
 
     def register(
         self, kind: str, shots: int, num_shards: int, physics_key: str | None
@@ -408,19 +382,7 @@ class _ResilientJournal:
 
     def close(self) -> None:
         if self._journal is not None:
-            try:
-                self._journal.close()
-            except (sqlite3.Error, OSError) as exc:
-                # The run's counts are already pooled; a failed close can
-                # only cost WAL-truncate hygiene — but it must stay
-                # observable, not vanish.
-                warnings.warn(
-                    f"checkpoint journal failed to close cleanly ({exc!r}); "
-                    f"results are unaffected, a -wal/-shm file may be left "
-                    f"behind",
-                    JournalDegraded,
-                    stacklevel=2,
-                )
+            self._journal.close()
             self._journal = None
 
 

@@ -4,11 +4,11 @@ PR 7 delivered the result-cache half (never *recompute* a point); every
 scan was still a blocking in-process call, so serving concurrent users —
 or amortizing the 10⁻⁵–10⁻⁶ shot volumes Gottesman-style threshold claims
 need across requests — had no scheduler to lean on.  This module is that
-scheduler: a sqlite/WAL-backed durable job queue sharing the journal's
-storage discipline (``PRAGMA user_version`` schema versioning with
-migrate-or-refuse, ``PRAGMA integrity_check`` on open, per-row checksums,
-bounded lock retry), plus lease-based claiming so work survives dead
-claimant hosts.
+scheduler: a sqlite/WAL-backed durable job queue on the same store layer
+as the journal (:class:`repro.threshold.store.SqliteStore`: schema
+versioning with migrate-or-refuse, an integrity check on open, ``BEGIN
+IMMEDIATE`` transactions with bounded lock retry), with per-row checksums
+and lease-based claiming so work survives dead claimant hosts.
 
 The moving parts
 ----------------
@@ -29,10 +29,10 @@ The moving parts
   remainder — bit-for-bit what a clean run produces, shards being pure
   functions of their specs.
 * :meth:`ScanQueue.complete` / :meth:`ScanQueue.release` /
-  :meth:`ScanQueue.requeue` — every terminal write is **owner-guarded**
-  (``WHERE lease_owner = ?``): a stale claimant that lost its lease to a
-  takeover cannot clobber the new owner's result (its completion is
-  rejected and recorded as an event).  Failures retry with exponential
+  :meth:`ScanQueue.requeue` — every terminal write is **owner-fenced**
+  (``lease_owner=:owner AND state='leased'``): a stale claimant that lost
+  its lease to a takeover cannot clobber the new owner's result (its
+  completion is rejected and recorded as an event).  Failures retry with exponential
   backoff up to the job's attempt budget, then land in ``failed`` with the
   last error attached (:class:`JobFailed` from the handle side;
   :class:`JobDegraded` warns when a job finished via degraded execution) —
@@ -72,11 +72,17 @@ from pathlib import Path
 
 import numpy as np
 
+# The state machine and every jobs-table write are declared once, in
+# repro.analysis.protospec: the queue imports the state tuple and executes
+# only the statements rendered from the spec (SQL), binding parameters.
+from repro.analysis.protospec import JOB_STATES as _JOB_STATES
+from repro.analysis.protospec import JOBS_DDL, SQL
 from repro.threshold.journal import (
     JournalSchemaError,
     compute_physics_key,
     compute_run_key,
 )
+from repro.threshold.store import SqliteStore
 
 __all__ = [
     "ClaimedJob",
@@ -100,10 +106,6 @@ __all__ = [
 # file is refused, never guessed at).
 _QUEUE_SCHEMA_VERSION = 1
 
-# Tables this layout owns — used to refuse a version-0 file that already
-# belongs to something else (e.g. a PR 6 journal).
-_QUEUE_TABLES = {"jobs", "events"}
-
 # Default lease duration.  Heartbeats extend it continuously while a
 # claimant is alive; a dead claimant's job becomes claimable this long
 # after its last heartbeat.
@@ -123,40 +125,7 @@ DEFAULT_JOB_RETRIES = 2
 _RETRY_BACKOFF = 0.5
 _RETRY_BACKOFF_CAP = 60.0
 
-# Bounded retry budget for transient queue lock contention before the
-# operation propagates the error (the serve loop absorbs and retries;
-# submitters see the failure).
-_QUEUE_LOCK_RETRIES = 4
-_LOCK_RETRY_SLEEP = 0.05
-
-_SCHEMA = """
-CREATE TABLE IF NOT EXISTS jobs (
-    job_id             INTEGER PRIMARY KEY AUTOINCREMENT,
-    run_key            TEXT NOT NULL UNIQUE,
-    physics_key        TEXT NOT NULL,
-    kind               TEXT NOT NULL,
-    payload            BLOB NOT NULL,
-    shots              INTEGER NOT NULL,
-    num_shards         INTEGER NOT NULL,
-    priority           INTEGER NOT NULL DEFAULT 0,
-    state              TEXT NOT NULL DEFAULT 'pending',
-    attempts           INTEGER NOT NULL DEFAULT 0,
-    max_attempts       INTEGER NOT NULL,
-    not_before_unix    REAL NOT NULL DEFAULT 0,
-    lease_owner        TEXT,
-    lease_expires_unix REAL,
-    heartbeat_unix     REAL,
-    checksum           TEXT NOT NULL,
-    source             TEXT,
-    result_shots       INTEGER,
-    result_failures    INTEGER,
-    result_checksum    TEXT,
-    degraded           INTEGER NOT NULL DEFAULT 0,
-    error              TEXT,
-    submitted_unix     REAL NOT NULL,
-    finished_unix      REAL
-);
-CREATE INDEX IF NOT EXISTS idx_jobs_claim ON jobs (state, priority, job_id);
+_SCHEMA = JOBS_DDL + """
 CREATE TABLE IF NOT EXISTS events (
     event_id INTEGER PRIMARY KEY AUTOINCREMENT,
     job_id   INTEGER NOT NULL,
@@ -166,19 +135,6 @@ CREATE TABLE IF NOT EXISTS events (
     at_unix  REAL NOT NULL
 );
 """
-
-# The state machine is declared once, in repro.analysis.protospec, and
-# imported here so the implementation and the protocol verifier
-# (`python -m repro.analysis --verify-protocol`, ANALYSIS.md) can never
-# disagree about the state set.  TRANSITION_SPEC is re-exported as this
-# module's declared protocol; every UPDATE/INSERT against `jobs` below
-# is statically checked against it (protocheck), and its composition
-# under arbitrary claimant interleavings is exhaustively explored
-# (repro.analysis.explore).  SCHEDULER.md embeds the generated diagram.
-from repro.analysis.protospec import (  # noqa: E402
-    JOB_STATES as _JOB_STATES,
-    TRANSITION_SPEC,
-)
 
 _JOB_KINDS = ("memory", "capacity")
 
@@ -399,110 +355,24 @@ class ScanQueue:
         self.cache_path = Path(cache_path) if cache_path is not None else None
         self.max_depth = int(max_depth)
         self.lease_seconds = float(lease_seconds)
-        self._closed = False
         self._cache_handle = None
-        # Autocommit mode: the queue manages transactions explicitly with
-        # BEGIN IMMEDIATE (multi-statement claim/submit must be atomic
-        # across processes; the stdlib's implicit transaction management
-        # would defer the write lock to the first DML statement).
-        conn = sqlite3.connect(str(self.path), timeout=30.0, isolation_level=None)
-        if io_chaos is not None:
-            from repro.threshold.chaos import ChaosConnection
-
-            conn = ChaosConnection(conn, io_chaos)
-        self._conn = conn
-        try:
-            status = self._conn.execute("PRAGMA integrity_check").fetchone()[0]
-            if status != "ok":
-                raise sqlite3.DatabaseError(
-                    f"integrity_check failed for {self.path}: {status}"
-                )
-            self._ensure_schema()
-            self._conn.execute("PRAGMA journal_mode=WAL")
-            self._conn.execute("PRAGMA synchronous=NORMAL")
-        except BaseException:
-            self._closed = True
-            try:
-                conn.close()
-            except (sqlite3.Error, OSError):
-                pass  # the original open/schema error is the observable fault
-            raise
-
-    def __getstate__(self) -> None:
-        """Queues hold a process-local sqlite connection: refuse at pickle
-        time (claimants open the queue *path* themselves)."""
-        raise TypeError(
-            "ScanQueue holds a process-local sqlite connection and cannot be "
-            "pickled; pass the queue *path* and open it in the receiving "
-            "process instead"
+        self._store = SqliteStore(
+            self.path,
+            kind="scan queue",
+            schema=_SCHEMA,
+            version=_QUEUE_SCHEMA_VERSION,
+            io_chaos=io_chaos,
         )
 
-    # -- schema --------------------------------------------------------
-    def _ensure_schema(self) -> None:
-        """Create or refuse — the queue has one layout version so far."""
-        version = int(self._conn.execute("PRAGMA user_version").fetchone()[0])
-        if version == 0:
-            tables = {
-                r[0]
-                for r in self._conn.execute(
-                    "SELECT name FROM sqlite_master WHERE type='table' "
-                    "AND name NOT LIKE 'sqlite_%'"
-                )
-            }
-            if tables and not tables <= _QUEUE_TABLES:
-                raise JournalSchemaError(
-                    f"{self.path} has user_version=0 but already holds "
-                    f"tables {sorted(tables - _QUEUE_TABLES)} — it is not a "
-                    f"scan queue; refusing to overwrite it"
-                )
-        elif version != _QUEUE_SCHEMA_VERSION:
-            raise JournalSchemaError(
-                f"{self.path} carries queue user_version={version}; this code "
-                f"writes version {_QUEUE_SCHEMA_VERSION} and refuses to guess "
-                f"at an unknown layout"
-            )
-        self._conn.executescript(_SCHEMA)
-        self._conn.execute(f"PRAGMA user_version = {_QUEUE_SCHEMA_VERSION}")
+    @property
+    def _conn(self):
+        return self._store.conn
 
-    # -- transaction plumbing ------------------------------------------
-    def _rollback(self) -> None:
-        try:
-            self._conn.execute("ROLLBACK")
-        except sqlite3.Error:
-            pass  # no transaction active / connection already broken
-
-    def _locked(self, fn):
-        """One ``BEGIN IMMEDIATE`` transaction with bounded lock retry.
-
-        Lock contention within the retry budget re-runs the whole
-        transaction (it never committed, so re-running is exact); anything
-        past the budget — and every non-lock error — propagates.  The
-        serve loop catches and retries; submitters see the fault.
-        """
-        for attempt in range(1, 2 + _QUEUE_LOCK_RETRIES):
-            try:
-                self._conn.execute("BEGIN IMMEDIATE")
-            except sqlite3.OperationalError as exc:
-                if _is_lock_error(exc) and attempt <= _QUEUE_LOCK_RETRIES:
-                    time.sleep(_LOCK_RETRY_SLEEP * attempt)
-                    continue
-                raise
-            try:
-                result = fn()
-                self._conn.execute("COMMIT")
-                return result
-            except sqlite3.OperationalError as exc:
-                self._rollback()
-                if _is_lock_error(exc) and attempt <= _QUEUE_LOCK_RETRIES:
-                    time.sleep(_LOCK_RETRY_SLEEP * attempt)
-                    continue
-                raise
-            except BaseException:
-                self._rollback()
-                raise
-        raise sqlite3.OperationalError(  # pragma: no cover - loop always acts
-            "queue lock retry budget exhausted"
-        )
+    def _write(self, rule: str, **params) -> sqlite3.Cursor:
+        """Execute the jobs-table statement rendered for ``rule`` — the one
+        way this queue writes a job row.  The cursor's ``rowcount`` is 0
+        when the statement's fence or source pin refused the write."""
+        return self._conn.execute(SQL[rule], params)
 
     def _event(self, job_id: int, event: str, owner: str | None, detail: str | None, now: float) -> None:
         self._conn.execute(
@@ -569,7 +439,16 @@ class ScanQueue:
         run_key = compute_run_key(kind, args, shots, _seed_fingerprint(seed), len(sizes))
         physics_key = compute_physics_key(kind, args)
         payload = pickle.dumps((args, seed), protocol=4)
-        checksum = job_checksum(run_key, kind, shots, len(sizes), payload)
+        # The identity columns plus the checksum over them: a row is born
+        # with these and a resubmit restores all of them together.
+        identity = {
+            "kind": kind,
+            "payload": payload,
+            "shots": int(shots),
+            "num_shards": len(sizes),
+            "physics_key": physics_key,
+            "checksum": job_checksum(run_key, kind, shots, len(sizes), payload),
+        }
         max_attempts = 1 + int(max_retries)
 
         def _txn() -> JobHandle:
@@ -584,11 +463,7 @@ class ScanQueue:
                     if state != "done":
                         # Live dedup absorbs the higher priority so a later
                         # urgent submitter is not stuck behind the original's.
-                        self._conn.execute(
-                            "UPDATE jobs SET priority = MAX(priority, ?) "
-                            "WHERE job_id = ?",
-                            (int(priority), job_id),
-                        )
+                        self._write("absorb_priority", job_id=job_id, priority=int(priority))
                     self._event(job_id, "deduplicated", None, f"state={state}", now)
                     return JobHandle(
                         job_id=job_id,
@@ -601,27 +476,10 @@ class ScanQueue:
                 # Every identity column is restored from the submission —
                 # a corrupt row may have had any of them tampered, and the
                 # run key pins what they must be.
-                self._conn.execute(
-                    "UPDATE jobs SET state='pending', kind=?, payload=?, "
-                    "shots=?, num_shards=?, physics_key=?, checksum=?, "
-                    "priority=?, attempts=0, max_attempts=?, not_before_unix=0, "
-                    "lease_owner=NULL, lease_expires_unix=NULL, "
-                    "heartbeat_unix=NULL, source=NULL, result_shots=NULL, "
-                    "result_failures=NULL, result_checksum=NULL, degraded=0, "
-                    "error=NULL, submitted_unix=?, finished_unix=NULL "
-                    "WHERE job_id = ?",
-                    (
-                        kind,
-                        payload,
-                        int(shots),
-                        len(sizes),
-                        physics_key,
-                        checksum,
-                        int(priority),
-                        max_attempts,
-                        now,
-                        job_id,
-                    ),
+                self._write(
+                    "resubmit_reset", **identity, job_id=job_id,
+                    priority=int(priority), max_attempts=max_attempts,
+                    submitted_unix=now,
                 )
                 self._event(job_id, "resubmitted", None, f"was {state}", now)
                 return JobHandle(
@@ -649,32 +507,15 @@ class ScanQueue:
                 )
                 if depth >= self.max_depth:
                     raise QueueSaturated(depth, self.max_depth)
-            cur = self._conn.execute(
-                "INSERT INTO jobs (run_key, physics_key, kind, payload, shots, "
-                "num_shards, priority, state, max_attempts, checksum, source, "
-                "result_shots, result_failures, result_checksum, degraded, "
-                "submitted_unix, finished_unix) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, 0, ?, ?)",
-                (
-                    run_key,
-                    physics_key,
-                    kind,
-                    payload,
-                    int(shots),
-                    len(sizes),
-                    int(priority),
-                    "done" if source is not None else "pending",
-                    max_attempts,
-                    checksum,
-                    source,
-                    res_shots,
-                    res_failures,
-                    job_result_checksum(run_key, res_shots, res_failures)
-                    if source is not None
-                    else None,
-                    now,
-                    now if source is not None else None,
-                ),
+            born_done = source is not None
+            cur = self._write(
+                "birth", **identity, run_key=run_key, priority=int(priority),
+                state="done" if born_done else "pending",
+                max_attempts=max_attempts, source=source,
+                result_shots=res_shots, result_failures=res_failures,
+                result_checksum=job_result_checksum(run_key, res_shots, res_failures)
+                if born_done else None,
+                submitted_unix=now, finished_unix=now if born_done else None,
             )
             job_id = int(cur.lastrowid)
             self._event(
@@ -692,7 +533,7 @@ class ScanQueue:
                 _queue=self,
             )
 
-        return self._locked(_txn)
+        return self._store.transaction(_txn)
 
     # -- claim / lease protocol ----------------------------------------
     def claim(self, owner: str, now: float | None = None) -> ClaimedJob | None:
@@ -708,7 +549,7 @@ class ScanQueue:
         """
         wall = time.time() if now is None else float(now)
         while True:
-            outcome, value = self._locked(lambda: self._claim_once(owner, wall))
+            outcome, value = self._store.transaction(lambda: self._claim_once(owner, wall))
             if outcome == "claimed":
                 return value
             if outcome == "empty":
@@ -736,30 +577,26 @@ class ScanQueue:
             priority, attempts, max_attempts, checksum, state, prev_owner, error,
         ) = row
         job_id, attempts, max_attempts = int(job_id), int(attempts), int(max_attempts)
+
+        def quarantine(reason: str, warning: str):
+            self._write("quarantine_at_claim", job_id=job_id, error=reason, finished_unix=now)
+            self._event(job_id, "corrupt", owner, reason, now)
+            return "skip", warning
+
         if checksum != job_checksum(run_key, kind, shots, num_shards, payload):
-            self._conn.execute(
-                "UPDATE jobs SET state='corrupt', error=?, finished_unix=?, "
-                "lease_owner=NULL, lease_expires_unix=NULL WHERE job_id=?",
-                ("identity checksum mismatch", now, job_id),
-            )
-            self._event(job_id, "corrupt", owner, "identity checksum mismatch", now)
-            return "skip", (
+            return quarantine(
+                "identity checksum mismatch",
                 f"queue row for job {job_id} failed identity checksum "
                 f"verification; marked corrupt and skipped — resubmit to "
-                f"recompute"
+                f"recompute",
             )
         if attempts >= max_attempts:
             # A dead claimant consumed the final attempt; the takeover
             # discovers exhaustion rather than burning another lease.
-            self._conn.execute(
-                "UPDATE jobs SET state='failed', error=?, finished_unix=?, "
-                "lease_owner=NULL, lease_expires_unix=NULL WHERE job_id=?",
-                (
-                    f"attempt budget exhausted ({attempts}/{max_attempts}); "
-                    f"last error: {error or 'claimant died mid-lease'}",
-                    now,
-                    job_id,
-                ),
+            self._write(
+                "exhaust_at_claim", job_id=job_id, finished_unix=now,
+                error=f"attempt budget exhausted ({attempts}/{max_attempts}); "
+                f"last error: {error or 'claimant died mid-lease'}",
             )
             self._event(job_id, "failed", owner, "attempts exhausted at claim", now)
             return "skip", None
@@ -772,21 +609,14 @@ class ScanQueue:
         except Exception as exc:
             # Checksum-valid but unloadable (e.g. the submitter pickled a
             # class this claimant cannot import): never executable here.
-            self._conn.execute(
-                "UPDATE jobs SET state='corrupt', error=?, finished_unix=?, "
-                "lease_owner=NULL, lease_expires_unix=NULL WHERE job_id=?",
-                (f"payload unpicklable: {exc!r}", now, job_id),
-            )
-            self._event(job_id, "corrupt", owner, f"payload unpicklable: {exc!r}", now)
-            return "skip", (
+            return quarantine(
+                f"payload unpicklable: {exc!r}",
                 f"queue row for job {job_id} holds an unloadable payload "
-                f"({exc!r}); marked corrupt and skipped"
+                f"({exc!r}); marked corrupt and skipped",
             )
-        self._conn.execute(
-            "UPDATE jobs SET state='leased', lease_owner=?, "
-            "lease_expires_unix=?, heartbeat_unix=?, attempts=attempts+1 "
-            "WHERE job_id=?",
-            (owner, now + self.lease_seconds, now, job_id),
+        self._write(
+            "lease_grant", job_id=job_id, lease_owner=owner,
+            lease_expires_unix=now + self.lease_seconds, heartbeat_unix=now,
         )
         self._event(job_id, "claimed", owner, f"attempt {attempts + 1}", now)
         return "claimed", ClaimedJob(
@@ -806,19 +636,20 @@ class ScanQueue:
 
     def heartbeat(self, job_id: int, owner: str, now: float | None = None) -> bool:
         """Extend the lease; False means the lease is no longer ours (a
-        takeover happened) and the claimant should abandon the job — its
-        eventual ``complete`` would be rejected anyway."""
+        takeover happened).  Every terminal write is owner-fenced, so a
+        claimant that keeps running after losing its lease only wastes
+        work: its ``complete``, ``release`` or ``requeue`` is rejected
+        and cannot corrupt the job."""
         wall = time.time() if now is None else float(now)
 
         def _txn() -> bool:
-            cur = self._conn.execute(
-                "UPDATE jobs SET heartbeat_unix=?, lease_expires_unix=? "
-                "WHERE job_id=? AND lease_owner=? AND state='leased'",
-                (wall, wall + self.lease_seconds, int(job_id), owner),
+            cur = self._write(
+                "heartbeat", job_id=int(job_id), owner=owner, heartbeat_unix=wall,
+                lease_expires_unix=wall + self.lease_seconds,
             )
             return cur.rowcount == 1
 
-        return self._locked(_txn)
+        return self._store.transaction(_txn)
 
     def complete(
         self,
@@ -831,10 +662,11 @@ class ScanQueue:
         source: str = "computed",
         now: float | None = None,
     ) -> bool:
-        """Owner-guarded terminal write; False = stale completion rejected.
+        """Owner-fenced terminal write; False = stale completion rejected.
 
-        The guard (``lease_owner = ?``) is the double-claim firewall: when
-        a stalled claimant's lease was taken over, its late completion
+        The fence (``lease_owner=:owner AND state='leased'``) is the
+        double-claim firewall: when a stalled claimant's lease was taken
+        over, its late completion
         must not clobber the successor's — the counts are identical
         (shards are pure), but attempt accounting and event history belong
         to the owner that actually finished.
@@ -842,23 +674,14 @@ class ScanQueue:
         wall = time.time() if now is None else float(now)
 
         def _txn() -> bool:
-            cur = self._conn.execute(
-                "UPDATE jobs SET state='done', result_shots=?, "
-                "result_failures=?, result_checksum=?, degraded=?, source=?, "
-                "finished_unix=?, lease_expires_unix=NULL "
-                "WHERE job_id=? AND lease_owner=? AND state='leased'",
-                (
-                    int(shots),
-                    int(failures),
-                    job_result_checksum(self._run_key_of(job_id), shots, failures),
-                    int(bool(degraded)),
-                    source,
-                    wall,
-                    int(job_id),
-                    owner,
+            if self._write(
+                "complete", job_id=int(job_id), owner=owner,
+                result_shots=int(shots), result_failures=int(failures),
+                result_checksum=job_result_checksum(
+                    self._run_key_of(job_id), shots, failures
                 ),
-            )
-            if cur.rowcount == 1:
+                degraded=int(bool(degraded)), source=source, finished_unix=wall,
+            ).rowcount == 1:
                 self._event(job_id, "completed", owner, f"source={source}", wall)
                 return True
             self._event(
@@ -870,12 +693,12 @@ class ScanQueue:
             )
             return False
 
-        return self._locked(_txn)
+        return self._store.transaction(_txn)
 
     def release(
         self, job_id: int, owner: str, error: str, now: float | None = None
     ) -> str:
-        """Give a failed attempt back to the queue (owner-guarded).
+        """Give a failed attempt back to the queue (owner-fenced).
 
         Returns ``"retry"`` (requeued behind an exponential-backoff gate),
         ``"failed"`` (attempt budget exhausted — terminal), or ``"stale"``
@@ -895,37 +718,27 @@ class ScanQueue:
             attempts, max_attempts = int(row[0]), int(row[1])
             if attempts >= max_attempts:
                 # The same-transaction SELECT above already proved we hold
-                # the lease, but the write re-states the owner fence anyway:
-                # protocheck (RPL402/RPL404) requires every release-side
-                # terminal write to be fenced on its own, not by context.
-                self._conn.execute(
-                    "UPDATE jobs SET state='failed', error=?, finished_unix=?, "
-                    "lease_owner=NULL, lease_expires_unix=NULL "
-                    "WHERE job_id=? AND lease_owner=? AND state='leased'",
-                    (
-                        f"attempt budget exhausted ({attempts}/{max_attempts}); "
-                        f"last error: {error}",
-                        wall,
-                        int(job_id),
-                        owner,
-                    ),
+                # the lease; the statement carries the owner fence anyway,
+                # because the spec declares every release write fenced.
+                self._write(
+                    "release_failed", job_id=int(job_id), owner=owner,
+                    finished_unix=wall,
+                    error=f"attempt budget exhausted ({attempts}/{max_attempts}); "
+                    f"last error: {error}",
                 )
                 self._event(job_id, "failed", owner, error, wall)
                 return "failed"
             delay = min(
                 _RETRY_BACKOFF * (2 ** max(attempts - 1, 0)), _RETRY_BACKOFF_CAP
             )
-            self._conn.execute(
-                "UPDATE jobs SET state='pending', lease_owner=NULL, "
-                "lease_expires_unix=NULL, heartbeat_unix=NULL, "
-                "not_before_unix=?, error=? "
-                "WHERE job_id=? AND lease_owner=? AND state='leased'",
-                (wall + delay, error, int(job_id), owner),
+            self._write(
+                "release_retry", job_id=int(job_id), owner=owner,
+                not_before_unix=wall + delay, error=error,
             )
             self._event(job_id, "released", owner, f"retry in {delay:.2f}s: {error}", wall)
             return "retry"
 
-        return self._locked(_txn)
+        return self._store.transaction(_txn)
 
     def requeue(self, job_id: int, owner: str, now: float | None = None) -> bool:
         """Drain path: hand a *healthy* leased job back without charging
@@ -935,34 +748,28 @@ class ScanQueue:
         wall = time.time() if now is None else float(now)
 
         def _txn() -> bool:
-            cur = self._conn.execute(
-                "UPDATE jobs SET state='pending', lease_owner=NULL, "
-                "lease_expires_unix=NULL, heartbeat_unix=NULL, "
-                "attempts=MAX(attempts - 1, 0), not_before_unix=? "
-                "WHERE job_id=? AND lease_owner=? AND state='leased'",
-                (wall, int(job_id), owner),
-            )
-            if cur.rowcount == 1:
+            if self._write(
+                "requeue_drain", job_id=int(job_id), owner=owner, not_before_unix=wall
+            ).rowcount == 1:
                 self._event(job_id, "requeued", owner, "graceful drain", wall)
                 return True
             return False
 
-        return self._locked(_txn)
+        return self._store.transaction(_txn)
 
     def mark_corrupt(self, job_id: int, reason: str) -> None:
-        """Mark a row corrupt (terminal); used when a *read* fails
-        validation (result checksum) rather than a claim."""
+        """Mark a ``done`` row corrupt (terminal); used when a *read* fails
+        validation (result checksum) rather than a claim.  A row that left
+        ``done`` in the meantime (a resubmit reset it) is left alone."""
 
         def _txn() -> None:
             now = time.time()
-            self._conn.execute(
-                "UPDATE jobs SET state='corrupt', error=?, finished_unix=?, "
-                "lease_owner=NULL, lease_expires_unix=NULL WHERE job_id=?",
-                (reason, now, int(job_id)),
-            )
-            self._event(job_id, "corrupt", None, reason, now)
+            if self._write(
+                "mark_corrupt_read", job_id=int(job_id), error=reason, finished_unix=now
+            ).rowcount == 1:
+                self._event(job_id, "corrupt", None, reason, now)
 
-        self._locked(_txn)
+        self._store.transaction(_txn)
 
     # -- introspection -------------------------------------------------
     def _run_key_of(self, job_id: int) -> str:
@@ -1045,31 +852,16 @@ class ScanQueue:
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
         """Idempotent close; checkpoints and truncates the WAL first."""
-        if self._closed:
-            return
-        self._closed = True
         if self._cache_handle is not None:
             self._cache_handle.close()
             self._cache_handle = None
-        try:
-            self._conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
-        except sqlite3.Error:
-            pass  # best effort — close must never raise over WAL hygiene
-        try:
-            self._conn.close()
-        except sqlite3.Error:
-            pass
+        self._store.close()
 
     def __enter__(self) -> "ScanQueue":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def _is_lock_error(exc: sqlite3.OperationalError) -> bool:
-    text = str(exc).lower()
-    return "locked" in text or "busy" in text
 
 
 # ----------------------------------------------------------------------
@@ -1110,7 +902,6 @@ class _HeartbeatPump(threading.Thread):
         # Not named _stop: threading.Thread has a private _stop() method
         # this would shadow, breaking join().
         self._halt = threading.Event()
-        self.lease_lost = False
 
     def stop(self) -> None:
         self._halt.set()
@@ -1141,7 +932,6 @@ class _HeartbeatPump(threading.Thread):
                     )
                     continue
                 if not alive:
-                    self.lease_lost = True
                     return
         finally:
             queue.close()

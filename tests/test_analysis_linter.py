@@ -376,8 +376,10 @@ class TestConcurrencyRules:
         )
         assert codes(fired) == ["RPL307"]
 
-    def test_rpl307_quiet_when_owner_guarded(self):
-        clean = lint(
+    def test_rpl307_fires_on_any_jobs_write_outside_protospec(self):
+        """Even a correctly fenced statement is hand-written protocol:
+        jobs-table writes come from the spec's renderer only."""
+        fired = lint(
             """
             def complete(conn, job_id, owner):
                 conn.execute(
@@ -385,7 +387,27 @@ class TestConcurrencyRules:
                     "WHERE job_id=? AND lease_owner=?",
                     (job_id, owner),
                 )
+                conn.execute("INSERT INTO jobs (run_key) VALUES (?)", (1,))
+                conn.execute("DELETE FROM jobs WHERE job_id=?", (job_id,))
             """
+        )
+        assert codes(fired) == ["RPL307", "RPL307", "RPL307"]
+
+    def test_rpl307_quiet_inside_protospec_and_on_reads(self):
+        rendered = lint(
+            """
+            SQL = "UPDATE jobs SET state='done' WHERE job_id=:job_id"
+            """,
+            path="src/repro/analysis/protospec.py",
+        )
+        assert codes(rendered) == []
+        clean = lint(
+            '''
+            def peek(conn, job_id):
+                """Prose may mention an UPDATE jobs SET shape mid-sentence."""
+                conn.execute("UPDATE runs SET kind=? WHERE run_key=?", ("a", "b"))
+                return conn.execute("SELECT * FROM jobs WHERE job_id=?", (job_id,))
+            '''
         )
         assert codes(clean) == []
 
@@ -436,8 +458,8 @@ class TestSqlRules:
             def setup(conn, job_id):
                 conn.execute(f"PRAGMA user_version = {VERSION}")
                 sql = (
-                    "UPDATE jobs SET state='done' "
-                    "WHERE job_id=? AND lease_owner=?"
+                    "UPDATE runs SET kind='done' "
+                    "WHERE run_key=? AND kind=?"
                 )
                 conn.execute(sql, (job_id, "owner"))
                 raise ValueError(f"expected = after SET column near {job_id}")
@@ -457,15 +479,7 @@ class TestMachinery:
             "RPL301", "RPL302", "RPL303", "RPL304", "RPL305",
             "RPL306", "RPL307", "RPL308",
         }
-        # The RPL4xx protocol diagnostics are emitted by protocheck, not
-        # the per-file lint; their firing/quiet fixtures (scheduler
-        # mutants) live in tests/test_analysis_protocheck.py.
-        protocol = {code for code in RULES if code.startswith("RPL4")}
-        assert protocol == {
-            "RPL401", "RPL402", "RPL403", "RPL404",
-            "RPL405", "RPL406", "RPL407",
-        }
-        assert exercised == set(RULES) - protocol
+        assert exercised == set(RULES)
 
     def test_tests_profile_keeps_rng_rules_only(self):
         source = textwrap.dedent(

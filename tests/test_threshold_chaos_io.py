@@ -117,7 +117,7 @@ class TestIOFaultKinds:
     def test_lock_burst_beyond_retry_budget_degrades(
         self, code, baseline, tmp_path
     ):
-        # _JOURNAL_LOCK_RETRIES = 4 → the 5th consecutive locked attempt
+        # store.LOCK_RETRIES = 4 → the 5th consecutive locked attempt
         # stops retrying and degrades.
         faults = {n: "lock_contention" for n in range(2, 7)}
         with pytest.warns(JournalDegraded):
