@@ -20,16 +20,24 @@ XOR touches 64 shots.  Two compile-time transformations carry the speedup:
 Semantics match the legacy interpreter in ``engine.py`` exactly on
 deterministic paths (no noise, arbitrary initial frames and fault
 injections) and in distribution on noisy paths; the parity test suite in
-``tests/test_pauliframe_compiled.py`` pins both.  Fault injections need
-operation-boundary resolution, which fused batches erase, so they run on an
-unfused twin program (see :meth:`FrameSimulator.run
-<repro.pauliframe.engine.FrameSimulator.run>`).
+``tests/test_pauliframe_compiled.py`` pins both.
+
+Fault injections (see :meth:`FrameSimulator.run
+<repro.pauliframe.engine.FrameSimulator.run>`) run on the same fused
+stream.  Each is XORed into the packed frames at an *injection point*
+between instructions.  A fault after operation ``i`` on qubit ``q`` lands
+just before ``i``'s fused batch when a later operation of that batch
+touches ``q``, and otherwise just after the batch's last instruction, noise
+instructions included; ``op_index == -1`` lands before instruction 0.  This
+is exact because the operations of a batch touch disjoint qubits and every
+noise instruction is an XOR, which commutes with the injected one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -37,7 +45,7 @@ from repro.circuits.circuit import Circuit
 from repro.noise.models import NoiseModel
 from repro.pauliframe.engine import (
     FrameResult,
-    build_fault_schedule,
+    normalize_fault_injections,
     validate_frame_circuit,
 )
 from repro.pauliframe.packing import (
@@ -99,9 +107,8 @@ _SPARSE_MAX_P = 0.05
 
 
 # ----------------------------------------------------------------------
-# Noise-plane sampling.  One call per channel class per run; identical
-# sampling order regardless of fusion, so fused and unfused programs give
-# bit-identical results from the same seed.
+# Noise-plane sampling.  One call per channel class per run, in a fixed
+# order; fault injections never touch the RNG.
 # ----------------------------------------------------------------------
 def _bernoulli_positions(rng: np.random.Generator, total: int, p: float) -> np.ndarray:
     """Indices in ``[0, total)`` hit by independent Bernoulli(p) trials.
@@ -257,31 +264,17 @@ class _Planes:
     storez: np.ndarray
 
 
-def _inject_packed(fx: np.ndarray, fz: np.ndarray, shot: int, qubit: int, kind: str) -> None:
-    bit = np.uint64(1) << np.uint64(shot & 63)
-    word = shot >> 6
-    if kind in ("X", "Y"):
-        fx[qubit, word] ^= bit
-    if kind in ("Z", "Y"):
-        fz[qubit, word] ^= bit
-
-
 class CompiledFrameProgram:
     """A circuit lowered to a packed-frame instruction stream.
 
     Parameters
     ----------
     circuit, noise: same contract as :class:`FrameSimulator`.
-    fuse: collapse runs of same-kind disjoint-qubit operations into single
-        batched instructions.  ``fuse=False`` keeps one instruction group
-        per operation, which is what fault injection needs; both variants
-        consume the RNG identically, so results are bit-identical.
     """
 
-    def __init__(self, circuit: Circuit, noise: NoiseModel | None = None, fuse: bool = True) -> None:
+    def __init__(self, circuit: Circuit, noise: NoiseModel | None = None) -> None:
         self.circuit = circuit
         self.noise = noise or NoiseModel()
-        self.fuse = fuse
         # Snapshot for staleness checks: Circuit is append-only, so a grown
         # op count is the one way the instruction stream can go stale.
         self.compiled_ops = len(circuit)
@@ -316,10 +309,13 @@ class CompiledFrameProgram:
         noise = self.noise
         num_qubits = self.circuit.num_qubits
         instrs: list[tuple] = []
-        op_slices: list[tuple[int, int]] = []
+        # (first op, instruction span [start, end)) of every batch: a fused
+        # run, or one TICK or conditional op.  Batches cover the ops in
+        # order; fault injection places its points with this table.
+        batches: list[tuple[int, int, int]] = []
         counts = {"g1": 0, "g2": 0, "meas": 0, "prep": 0, "store": 0}
         # Current fusion batch.
-        state = {"kind": None}
+        state = {"kind": None, "first_op": 0}
         q1: list[int] = []
         q2: list[int] = []
         touched_q: set[int] = set()
@@ -329,6 +325,7 @@ class CompiledFrameProgram:
             kind = state["kind"]
             if kind is None:
                 return
+            start = len(instrs)
             size = len(q1)
             idx1 = np.array(q1, dtype=np.intp)
             idx2 = np.array(q2, dtype=np.intp)
@@ -353,52 +350,52 @@ class CompiledFrameProgram:
             elif kind in ("CNOT", "CZ", "CY", "SWAP") and noise.eps_gate2 > 0:
                 instrs.append((_OP_NG2, idx1, idx2, counts["g2"], size))
                 counts["g2"] += size
+            batches.append((state["first_op"], start, len(instrs)))
             state["kind"] = None
             q1.clear()
             q2.clear()
             touched_q.clear()
             touched_c.clear()
 
-        for op in self.circuit:
-            # With fuse=False every op flushes immediately, so instruction
-            # indices [start, end) delimit exactly this op's instructions —
-            # the resolution fault injection needs.
-            start = len(instrs)
+        for i, op in enumerate(self.circuit):
             gate = op.gate
-            if gate == "TICK":
+            if gate == "TICK" or op.condition:
+                # Never fused: a batch of its own.
                 flush()
-                if noise.eps_store > 0:
-                    instrs.append((_OP_NSTORE, counts["store"]))
-                    counts["store"] += num_qubits
-            elif op.condition:
-                flush()
-                loc = -1
-                if noise.eps_gate1 > 0:
-                    loc = counts["g1"]
-                    counts["g1"] += 1
-                instrs.append(
-                    (
-                        _OP_COND,
-                        gate in ("X", "Y"),
-                        gate in ("Z", "Y"),
-                        op.qubits[0],
-                        np.array(op.condition, dtype=np.intp),
-                        loc,
+                start = len(instrs)
+                if gate == "TICK":
+                    if noise.eps_store > 0:
+                        instrs.append((_OP_NSTORE, counts["store"]))
+                        counts["store"] += num_qubits
+                else:
+                    loc = -1
+                    if noise.eps_gate1 > 0:
+                        loc = counts["g1"]
+                        counts["g1"] += 1
+                    instrs.append(
+                        (
+                            _OP_COND,
+                            gate in ("X", "Y"),
+                            gate in ("Z", "Y"),
+                            op.qubits[0],
+                            np.array(op.condition, dtype=np.intp),
+                            loc,
+                        )
                     )
-                )
+                batches.append((i, start, len(instrs)))
             else:
                 kind = _ONE_QUBIT_KIND.get(gate) or _TWO_QUBIT_KIND.get(gate) or gate
                 if kind not in ("H", "S", "RP", "P1", "CNOT", "CZ", "CY", "SWAP", "M", "MX", "R"):
                     raise ValueError(f"unhandled gate {gate}")  # pragma: no cover
                 joinable = (
-                    self.fuse
-                    and state["kind"] == kind
+                    state["kind"] == kind
                     and touched_q.isdisjoint(op.qubits)
                     and touched_c.isdisjoint(op.cbits)
                 )
                 if not joinable:
                     flush()
                     state["kind"] = kind
+                    state["first_op"] = i
                 q1.append(op.qubits[0])
                 if kind in ("CNOT", "CZ", "CY", "SWAP"):
                     q2.append(op.qubits[1])
@@ -406,13 +403,38 @@ class CompiledFrameProgram:
                     q2.append(op.cbits[0])
                     touched_c.add(op.cbits[0])
                 touched_q.update(op.qubits)
-            if not self.fuse:
-                flush()
-                op_slices.append((start, len(instrs)))
         flush()
         self._instructions = instrs
-        self._op_slices = op_slices
         self._counts = counts
+        self._batches = batches
+
+    def _injection_points(self, op_index: np.ndarray, qubit: np.ndarray) -> np.ndarray:
+        """Instruction index before which each fault is XORed in.
+
+        See the module docstring: a fault after op ``i`` on qubit ``q``
+        goes before ``i``'s batch if a later op of that batch touches
+        ``q``, otherwise after the batch; ``op_index == -1`` goes first.
+        """
+        ops = self.circuit.operations[: self.compiled_ops]
+        n = len(ops)
+        # Every touch as the key qubit * (n + 1) + op, sorted, so the next
+        # op touching q after op i is one search away; the sentinel keeps
+        # every search position indexable.
+        arity = np.fromiter((len(op.qubits) for op in ops), np.int64, n)
+        touched = np.fromiter(
+            chain.from_iterable(op.qubits for op in ops), np.int64, int(arity.sum())
+        )
+        keys = np.sort(touched * (n + 1) + np.repeat(np.arange(n), arity))
+        keys = np.append(keys, np.iinfo(np.int64).max)
+        first_op, start, end = np.array(self._batches, dtype=np.int64).reshape(-1, 3).T
+        point = np.zeros(op_index.shape, dtype=np.int64)
+        after = op_index >= 0
+        i, base = op_index[after], qubit[after] * (n + 1)
+        batch = np.searchsorted(first_op, i, side="right") - 1
+        next_touch = keys[np.searchsorted(keys, base + i, side="right")] - base
+        later = next_touch < np.append(first_op[1:], n)[batch]
+        point[after] = np.where(later, start[batch], end[batch])
+        return point
 
     # ------------------------------------------------------------------
     def _sample_planes(self, rng: np.random.Generator, shots: int) -> _Planes:
@@ -447,29 +469,41 @@ class CompiledFrameProgram:
         ``fx``/``fz`` carry the initial frames on entry and the residual
         frames on exit; ``flips`` is zeroed here before execution.  Buffers
         must have ``words_for(shots)`` columns (reuse across rounds is the
-        point of this entry).
+        point of this entry).  ``fault_injections`` (format as in
+        :meth:`FrameSimulator.run`) is validated before any buffer is
+        touched, then XORed in at its injection points between segments of
+        the fused stream; noise sampling is the same with or without it.
         """
         rng = as_rng(rng)
+        num_qubits = self.circuit.num_qubits
         nwords = words_for(shots)
-        if fx.shape != (self.circuit.num_qubits, nwords) or fz.shape != fx.shape:
-            raise ValueError(
-                f"frame buffers must be ({self.circuit.num_qubits}, {nwords}) uint64"
+        if fx.shape != (num_qubits, nwords) or fz.shape != fx.shape:
+            raise ValueError(f"frame buffers must be ({num_qubits}, {nwords}) uint64")
+        if fault_injections is not None:
+            shot, op_index, qubit, xbit, zbit = normalize_fault_injections(
+                fault_injections, shots, self.compiled_ops, num_qubits
             )
         flips[:] = 0
         planes = self._sample_planes(rng, shots)
         if fault_injections is None:
             self._execute(self._instructions, fx, fz, flips, planes)
             return
-        if self.fuse:
-            raise ValueError("fault injections require an unfused program (fuse=False)")
-        schedule = build_fault_schedule(fault_injections, shots)
-        for shot, qubit, kind in schedule.get(-1, []):
-            _inject_packed(fx, fz, shot, qubit, kind)
-        for op_index, (start, end) in enumerate(self._op_slices):
-            if end > start:
-                self._execute(self._instructions[start:end], fx, fz, flips, planes)
-            for shot, qubit, kind in schedule.get(op_index, []):
-                _inject_packed(fx, fz, shot, qubit, kind)
+        point = self._injection_points(op_index, qubit)
+        order = np.argsort(point, kind="stable")
+        point, qubit, shot = point[order], qubit[order], shot[order]
+        word = shot >> 6
+        bit = np.uint64(1) << (shot & 63).astype(np.uint64)
+        xbits, zbits = bit * xbit[order], bit * zbit[order]
+        # ufunc.at is unbuffered, so duplicate faults cancel like XORs.
+        starts = np.flatnonzero(np.diff(point, prepend=-1)).tolist()
+        done = 0
+        for lo, hi in zip(starts, starts[1:] + [len(point)]):
+            at = int(point[lo])
+            self._execute(self._instructions[done:at], fx, fz, flips, planes)
+            np.bitwise_xor.at(fx, (qubit[lo:hi], word[lo:hi]), xbits[lo:hi])
+            np.bitwise_xor.at(fz, (qubit[lo:hi], word[lo:hi]), zbits[lo:hi])
+            done = at
+        self._execute(self._instructions[done:], fx, fz, flips, planes)
 
     def run(
         self,

@@ -28,6 +28,7 @@ not affect error-correction statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -38,23 +39,46 @@ from repro.util.rng import as_rng
 __all__ = ["FrameSimulator", "FrameResult", "validate_frame_circuit"]
 
 
-def build_fault_schedule(fault_injections: list, shots: int) -> dict[int, list]:
-    """Normalize per-shot fault specs into an op-index -> entries schedule.
+# Frame bits each fault kind flips: bit 0 is X, bit 1 is Z.
+_FAULT_BITS = {"X": 1, "Y": 3, "Z": 2}
+
+
+def normalize_fault_injections(
+    fault_injections: list, shots: int, num_ops: int, num_qubits: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Flatten per-shot fault specs into ``(shot, op_index, qubit, x, z)`` arrays.
 
     Shared by both engines (see :meth:`FrameSimulator.run` for the spec
-    format); validates fault kinds up front so no frame is partially
-    mutated before a bad entry is discovered.
+    format).  Everything is validated here, before any frame is touched:
+    one spec per shot, kinds in {"X","Y","Z"}, ``op_index`` in
+    ``[-1, num_ops)`` and ``qubit`` in ``[0, num_qubits)``.  Entries keep
+    their input order (shot-major); ``x``/``z`` are the uint8 frame bits
+    each fault flips.
     """
     if len(fault_injections) != shots:
         raise ValueError("need exactly one fault spec (or list) per shot")
-    schedule: dict[int, list[tuple[int, int, str]]] = {}
-    for s, spec in enumerate(fault_injections):
-        entries = [spec] if isinstance(spec, tuple) else list(spec)
-        for op_index, qubit, kind in entries:
-            if kind not in ("X", "Y", "Z"):
-                raise ValueError(f"unknown fault kind {kind!r}")
-            schedule.setdefault(op_index, []).append((s, qubit, kind))
-    return schedule
+    specs = [(spec,) if isinstance(spec, tuple) else spec for spec in fault_injections]
+    per_shot = np.fromiter(map(len, specs), dtype=np.int64, count=shots)
+    entries = list(chain.from_iterable(specs))
+    if not set(map(len, entries)) <= {3}:
+        raise ValueError("a fault spec is an (op_index, qubit, kind) tuple")
+    n = len(entries)
+    flat = list(chain.from_iterable(entries))
+    op_index = np.fromiter(flat[0::3], dtype=np.int64, count=n)
+    qubit = np.fromiter(flat[1::3], dtype=np.int64, count=n)
+    kinds = flat[2::3]
+    codes = list(map(_FAULT_BITS.get, kinds))
+    if None in codes:
+        raise ValueError(f"unknown fault kind {kinds[codes.index(None)]!r}")
+    bad = (op_index < -1) | (op_index >= num_ops)
+    if bad.any():
+        raise ValueError(f"fault op_index {op_index[bad][0]} outside [-1, {num_ops})")
+    bad = (qubit < 0) | (qubit >= num_qubits)
+    if bad.any():
+        raise ValueError(f"fault qubit {qubit[bad][0]} outside [0, {num_qubits})")
+    bits = np.fromiter(codes, dtype=np.uint8, count=n)
+    shot = np.repeat(np.arange(shots, dtype=np.int64), per_shot)
+    return shot, op_index, qubit, bits & 1, bits >> 1
 
 
 def validate_frame_circuit(circuit: Circuit) -> None:
@@ -129,13 +153,11 @@ class FrameSimulator:
         self.noise = noise or NoiseModel()
         self.backend = backend
         validate_frame_circuit(circuit)
-        self._fused = None
-        self._unfused = None
+        self._compiled = None
 
     # ------------------------------------------------------------------
-    def _program(self, fused: bool):
-        """Lazily compiled program (fused twin for plain runs, unfused twin
-        for fault injections — both consume the RNG identically).
+    def _program(self):
+        """Lazily compiled program, shared by plain and fault-injected runs.
 
         Recompiles when ``self.noise`` was swapped or the (append-only)
         circuit grew since the last run, so the mutate-and-rerun pattern
@@ -145,18 +167,14 @@ class FrameSimulator:
         """
         from repro.pauliframe.compiled import CompiledFrameProgram
 
-        cached = self._fused if fused else self._unfused
+        cached = self._compiled
         if (
             cached is None
             or cached.noise != self.noise
             or cached.compiled_ops != len(self.circuit)
         ):
             validate_frame_circuit(self.circuit)
-            cached = CompiledFrameProgram(self.circuit, self.noise, fuse=fused)
-            if fused:
-                self._fused = cached
-            else:
-                self._unfused = cached
+            cached = self._compiled = CompiledFrameProgram(self.circuit, self.noise)
         return cached
 
     # ------------------------------------------------------------------
@@ -174,18 +192,29 @@ class FrameSimulator:
         ``s`` is either a single ``(op_index, qubit, kind)`` tuple or a
         list of them, with kind in {"X","Y","Z"}, injected into shot ``s``
         immediately *after* operation ``op_index`` executes (op_index −1
-        means t = 0).  This is the exhaustive fault-path enumeration used
-        by the §5 circuit counting; combine with a trivial noise model for
-        pure fault-path analysis.
+        means t = 0).  Identical faults in one shot cancel.  A spec with
+        ``op_index`` outside ``[-1, len(circuit))`` or ``qubit`` outside
+        ``[0, num_qubits)`` raises ``ValueError`` before anything runs.
+        The compiled backend XORs the faults into its packed frames between
+        segments of the same fused program plain runs use.  This is the
+        exhaustive fault-path enumeration used by the §5 circuit counting;
+        combine with a trivial noise model for pure fault-path analysis.
         """
         if self.backend == "compiled":
-            return self._program(fused=fault_injections is None).run(
+            return self._program().run(
                 shots,
                 seed,
                 initial_fx=initial_fx,
                 initial_fz=initial_fz,
                 fault_injections=fault_injections,
             )
+        schedule: dict[int, list[tuple[int, int, int, int]]] = {}
+        if fault_injections is not None:
+            faults = normalize_fault_injections(
+                fault_injections, shots, len(self.circuit), self.circuit.num_qubits
+            )
+            for s, i, q, x, z in zip(*(a.tolist() for a in faults)):
+                schedule.setdefault(i, []).append((s, q, x, z))
         rng = as_rng(seed)
         n = self.circuit.num_qubits
         fx = np.zeros((shots, n), dtype=np.uint8)
@@ -195,15 +224,12 @@ class FrameSimulator:
         if initial_fz is not None:
             fz ^= np.asarray(initial_fz, dtype=np.uint8)
         flips = np.zeros((shots, max(1, self.circuit.num_cbits)), dtype=np.uint8)
-        schedule: dict[int, list[tuple[int, int, str]]] = {}
-        if fault_injections is not None:
-            schedule = build_fault_schedule(fault_injections, shots)
-            for s, qubit, kind in schedule.get(-1, []):
-                _inject(fx, fz, s, qubit, kind)
+        for entry in schedule.get(-1, []):
+            _inject(fx, fz, *entry)
         for i, op in enumerate(self.circuit):
             self._apply(op, fx, fz, flips, rng)
-            for s, qubit, kind in schedule.get(i, []):
-                _inject(fx, fz, s, qubit, kind)
+            for entry in schedule.get(i, []):
+                _inject(fx, fz, *entry)
         return FrameResult(meas_flips=flips, fx=fx, fz=fz)
 
     # ------------------------------------------------------------------
@@ -309,13 +335,9 @@ class FrameSimulator:
             _two_qubit_error(fx, fz, op.qubits, noise, rng)
 
 
-def _inject(fx: np.ndarray, fz: np.ndarray, shot: int, qubit: int, kind: str) -> None:
-    if kind in ("X", "Y"):
-        fx[shot, qubit] ^= 1
-    if kind in ("Z", "Y"):
-        fz[shot, qubit] ^= 1
-    if kind not in ("X", "Y", "Z"):
-        raise ValueError(f"unknown fault kind {kind!r}")
+def _inject(fx: np.ndarray, fz: np.ndarray, shot: int, qubit: int, x: int, z: int) -> None:
+    fx[shot, qubit] ^= x
+    fz[shot, qubit] ^= z
 
 
 def _apply_depolarizing_kinds(

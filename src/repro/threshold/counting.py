@@ -53,6 +53,9 @@ class FullSteaneRound:
         self.cbits_per_block = 21
         self.num_cbits = self.cbits_per_block * self.num_blocks
         self.circuit, self.fixup_points = self._build()
+        # Noiseless; compiles (and verifies) on its first run, once per
+        # round rather than once per count or fix-up response.
+        self.simulator = FrameSimulator(self.circuit, NoiseModel())
 
     def _block_qubits(self, b: int) -> tuple[int, int, int]:
         """(ancilla base, verify1 base, verify2 base) for block b."""
@@ -152,12 +155,11 @@ class FullSteaneRound:
         cached = getattr(self, "_fixup_cache", None)
         if cached is not None:
             return cached
-        sim = FrameSimulator(self.circuit, NoiseModel())
         responses = {}
         for b in range(self.num_blocks):
             anc, _, _ = self._block_qubits(b)
             spec = [[(self.fixup_points[b], anc + q, "X") for q in range(7)]]
-            res = sim.run(1, seed=0, fault_injections=spec)
+            res = self.simulator.run(1, seed=0, fault_injections=spec)
             responses[b] = (res.meas_flips[0].copy(), res.fx[0].copy(), res.fz[0].copy())
         self._fixup_cache = responses
         return responses
@@ -202,8 +204,7 @@ def count_fault_paths(
         for q in op.qubits:
             for kind in ("X", "Y", "Z"):
                 specs.append((i, q, kind))
-    sim = FrameSimulator(circuit, NoiseModel())
-    res = sim.run(len(specs), seed=0, fault_injections=specs)
+    res = rnd.simulator.run(len(specs), seed=0, fault_injections=specs)
     fx, fz = rnd.classical_postprocess(res.meas_flips, res.fx, res.fz, policy)
     # Residuals modulo the stabilizer: ideal-correct then inspect.
     cfx, cfz = code.correct_frame(fx, fz)

@@ -226,8 +226,28 @@ class TestShippedExperimentsVerifyClean:
             reverify(prog, stream_of(prog))
 
     def test_unfused_variant_also_verifies(self, noise):
+        # Successor property: fault injections run on the fused program
+        # itself; its batches tile both the ops and the stream, so every
+        # injection point falls on an instruction boundary, and an injected
+        # run leaves the stream as verified.
         circ = SteaneECProtocol(noise).prep.circuit()
-        prog = CompiledFrameProgram(circ, noise, fuse=False)
+        prog = CompiledFrameProgram(circ, noise)
+
+        def snapshot():
+            return [tuple(np.asarray(a).tolist() for a in ins) for ins in prog._instructions]
+
+        before = snapshot()
+        first_op, start, end = np.array(prog._batches).T
+        assert first_op[0] == 0 and (first_op[1:] > first_op[:-1]).all()
+        assert first_op[-1] < len(circ)
+        assert start[0] == 0 and end[-1] == len(before)
+        assert (start[1:] == end[:-1]).all() and (end >= start).all()
+        specs = [
+            [(i, q, "XYZ"[i % 3]) for q in op.qubits] for i, op in enumerate(circ)
+        ]
+        fx, fz, flips = prog.new_buffers(len(specs))
+        prog.run_packed(len(specs), 0, fx, fz, flips, fault_injections=specs)
+        assert snapshot() == before
         reverify(prog, stream_of(prog))
 
     def test_noise_free_program_verifies(self):

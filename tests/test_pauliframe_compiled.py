@@ -10,8 +10,11 @@ Two agreement regimes, mirroring the engine's contract:
   outputs differ shot by shot; observed rates must agree within combined
   Wilson 95% intervals.
 
-Plus packing round-trips and a seeded-determinism regression (same seed ⇒
-identical results, run to run and fused vs unfused).
+Plus packing round-trips, a seeded-determinism regression (same seed ⇒
+identical results, run to run and with vs without fault injections) and the
+fault-injection contract: packed faults placed in the fused stream match
+the legacy per-op injection bit for bit, and malformed specs are refused
+before any buffer is touched.
 """
 
 import numpy as np
@@ -109,38 +112,110 @@ class TestExactParity:
         assert_results_equal(legacy, compiled)
 
     def test_fault_injection_parity(self):
-        rng = np.random.default_rng(77)
-        c = random_clifford_circuit(rng, conditional=True)
-        n_ops = len(c.operations)
-        shots = 80
-        specs = []
-        for s in range(shots):
-            entries = [
-                (int(rng.integers(-1, n_ops)), int(rng.integers(c.num_qubits)),
-                 "XYZ"[rng.integers(3)])
-                for _ in range(rng.integers(1, 4))
-            ]
-            specs.append(entries)
-        legacy = FrameSimulator(c, backend="legacy").run(shots, seed=0, fault_injections=specs)
-        compiled = FrameSimulator(c, backend="compiled").run(shots, seed=0, fault_injections=specs)
+        for child in np.random.SeedSequence(77).spawn(24):
+            rng = np.random.default_rng(child)
+            c = random_clifford_circuit(rng, conditional=True)
+            n_ops = len(c.operations)
+            shots = 80
+            specs = []
+            for s in range(shots):
+                entries = [
+                    (int(rng.integers(-1, n_ops)), int(rng.integers(c.num_qubits)),
+                     "XYZ"[rng.integers(3)])
+                    for _ in range(rng.integers(1, 4))
+                ]
+                specs.append(entries)
+            legacy = FrameSimulator(c, backend="legacy").run(shots, seed=0, fault_injections=specs)
+            compiled = FrameSimulator(c, backend="compiled").run(shots, seed=0, fault_injections=specs)
+            assert_results_equal(legacy, compiled)
+
+    def test_fault_before_a_later_op_of_the_same_batch(self):
+        # H(0) and H(1) fuse into one batch; a fault after op 0 on qubit 1
+        # must still pass through H(1), a fault on qubit 0 must not.
+        c = Circuit(2).h(0).h(1)
+        assert len(CompiledFrameProgram(c)._instructions) == 1
+        specs = [
+            (op, q, kind) for op in (-1, 0, 1) for q in (0, 1) for kind in "XYZ"
+        ]
+        legacy = FrameSimulator(c, backend="legacy").run(len(specs), fault_injections=specs)
+        compiled = FrameSimulator(c).run(len(specs), fault_injections=specs)
         assert_results_equal(legacy, compiled)
+        after_op0_on_q1 = specs.index((0, 1, "X"))
+        assert compiled.fz[after_op0_on_q1].tolist() == [0, 1]
+
+    def test_duplicate_faults_cancel(self):
+        c = Circuit(2, 2).h(0).cnot(0, 1).measure(0, 0).measure(1, 1)
+        specs = [
+            [(1, 0, "X"), (3, 1, "Z"), (1, 0, "X"), (3, 1, "Z")],
+            [(0, 1, "Y"), (0, 1, "Y"), (0, 1, "Y")],
+        ]
+        legacy = FrameSimulator(c, backend="legacy").run(2, fault_injections=specs)
+        compiled = FrameSimulator(c).run(2, fault_injections=specs)
+        assert_results_equal(legacy, compiled)
+        assert not (compiled.fx[0].any() or compiled.fz[0].any() or compiled.meas_flips[0].any())
+        single = FrameSimulator(c).run(1, fault_injections=[(0, 1, "Y")])
+        np.testing.assert_array_equal(compiled.fx[1], single.fx[0])
+
+    @pytest.mark.parametrize("backend", ["legacy", "compiled"])
+    @pytest.mark.parametrize(
+        "bad", [(99, 0, "X"), (3, 0, "X"), (-5, 0, "X"), (-1, -1, "X"), (0, 2, "Z")]
+    )
+    def test_out_of_range_fault_is_refused(self, backend, bad):
+        # An out-of-range op index must not be dropped silently, nor a
+        # negative qubit land on another qubit through NumPy indexing.
+        c = Circuit(2, 2).cnot(0, 1).measure(0, 0).measure(1, 1)
+        sim = FrameSimulator(c, backend=backend)
+        init = np.ones((2, 2), dtype=np.uint8)
+        with pytest.raises(ValueError, match="outside"):
+            sim.run(2, initial_fx=init, fault_injections=[(0, 0, "X"), [(2, 1, "Y"), bad]])
+        assert (init == 1).all()
+        if backend == "legacy":
+            return  # the legacy engine has no caller-owned packed buffers
+        prog = sim._program()
+        fx, fz, flips = prog.new_buffers(2)
+        fx[:], fz[:], flips[:] = 1, 2, 3
+        with pytest.raises(ValueError, match="outside"):
+            prog.run_packed(2, 0, fx, fz, flips, fault_injections=[(0, 0, "X"), bad])
+        assert (fx == 1).all() and (fz == 2).all() and (flips == 3).all()
 
     def test_fused_requires_no_injection(self):
-        c = Circuit(2).h(0).cnot(0, 1)
-        prog = CompiledFrameProgram(c, fuse=True)
-        fx, fz, flips = prog.new_buffers(4)
-        with pytest.raises(ValueError):
-            prog.run_packed(4, 0, fx, fz, flips, fault_injections=[(0, 0, "X")] * 4)
+        # Successor property: malformed injections are refused before any
+        # caller buffer is touched.
+        c = Circuit(2, 2).h(0).cnot(0, 1).measure(0, 0)
+        prog = CompiledFrameProgram(c)
+        bad_specs = [
+            [(0, 0, "X")] * 3,                       # one spec short
+            [(0, 0, "X")] * 3 + [(1, 1, "W")],       # unknown kind
+            [(0, 0, "X")] * 3 + [[(1, 1, "X"), (3, 0, "Z")]],  # op past the end
+            [(0, 0, "X")] * 3 + [(0, 0)],            # not a triple
+        ]
+        for specs in bad_specs:
+            fx, fz, flips = prog.new_buffers(4)
+            fx[:], fz[:], flips[:] = 5, 6, 7
+            with pytest.raises(ValueError):
+                prog.run_packed(4, 0, fx, fz, flips, fault_injections=specs)
+            assert (fx == 5).all() and (fz == 6).all() and (flips == 7).all()
 
     def test_fused_and_unfused_bit_identical_under_noise(self):
-        # Fusion must not change how the RNG is consumed: the noise planes
-        # are keyed by location index, not by instruction shape.
+        # Successor property: injections do not perturb noise sampling.
+        # Without conditionals the frames are linear in (noise, faults), so
+        # noisy+faults == noisy XOR noiseless+faults, seed for seed.
         rng = np.random.default_rng(5)
-        c = random_clifford_circuit(rng, conditional=True)
-        noise = circuit_level(0.02)
-        fused = CompiledFrameProgram(c, noise, fuse=True).run(300, seed=42)
-        unfused = CompiledFrameProgram(c, noise, fuse=False).run(300, seed=42)
-        assert_results_equal(fused, unfused)
+        c = random_clifford_circuit(rng, conditional=False)
+        shots = 300
+        specs = [
+            [(int(rng.integers(-1, len(c))), int(rng.integers(c.num_qubits)), "XYZ"[k % 3])
+             for k in range(int(rng.integers(0, 4)))]
+            for _ in range(shots)
+        ]
+        noisy = FrameSimulator(c, circuit_level(0.02))
+        both = noisy.run(shots, seed=42, fault_injections=specs)
+        noise_only = noisy.run(shots, seed=42)
+        faults_only = FrameSimulator(c, NoiseModel()).run(shots, fault_injections=specs)
+        for field in ("meas_flips", "fx", "fz"):
+            np.testing.assert_array_equal(
+                getattr(both, field), getattr(noise_only, field) ^ getattr(faults_only, field)
+            )
 
     def test_e02_factory_circuit_noiseless_parity(self):
         c = SteaneAncillaPrep(SteaneCode(), verify=True).circuit()
