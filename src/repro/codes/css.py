@@ -129,6 +129,27 @@ class CSSCode(StabilizerCode):
             return out_x[0], out_z[0]
         return out_x, out_z
 
+    def logical_failures_packed(self, fx: np.ndarray, fz: np.ndarray, shots: int) -> int:
+        """How many shots :meth:`correct_frame` leaves with a logical action.
+
+        The count that :meth:`correct_frame` followed by
+        :meth:`logical_action_of_frame` gives, computed on bit-packed
+        ``(n, words)`` uint64 frames (shot ``s`` is bit ``s % 64`` of word
+        ``s // 64``) without unpacking them.  Bits past ``shots`` in the
+        last word are ignored.
+        """
+        logicals = self.logical_z + self.logical_x
+        # Column i of the logical action is the parity of the corrected X
+        # frame on one support XOR that of the corrected Z frame on another.
+        x_cols = _corrected_parities_packed(self.hz, fx, [op.z for op in logicals])
+        z_cols = _corrected_parities_packed(self.hx, fz, [op.x for op in logicals])
+        fail = np.zeros(fx.shape[1], dtype=np.uint64)
+        for x_col, z_col in zip(x_cols, z_cols):
+            fail |= x_col ^ z_col
+        if shots % 64:
+            fail[-1] &= np.uint64((1 << (shots % 64)) - 1)
+        return int(np.bitwise_count(fail).sum())
+
     def x_syndrome_of_frame(self, fx: np.ndarray) -> np.ndarray:
         """Classical H_z syndrome of the X-error frame (bit-flip syndrome,
         the quantity Fig. 2's circuit computes)."""
@@ -143,13 +164,14 @@ class CSSCode(StabilizerCode):
 _CORRECTION_CACHE: dict[bytes, np.ndarray] = {}
 
 
-def _classical_correction(h: np.ndarray, syndromes: np.ndarray) -> np.ndarray:
-    """Vectorized min-weight classical decoding: map each row of
-    ``syndromes`` (shape (shots, m)) to a length-n error pattern.
+def _correction_table(h: np.ndarray) -> np.ndarray:
+    """Min-weight classical decoding table of ``h``: row ``v`` is the
+    ``n``-bit correction for the syndrome whose bit ``j`` (check row ``j``)
+    is ``(v >> j) & 1``.
 
-    A dense table indexed by the syndrome-as-integer is built once per
-    parity-check matrix (enumerating error patterns in weight order up to
-    the classical correction radius) and cached by matrix content.
+    Built once per parity-check matrix (enumerating error patterns in
+    weight order up to the classical correction radius) and cached by
+    matrix content.
     """
     key = h.tobytes() + bytes([h.shape[1] % 251])
     table = _CORRECTION_CACHE.get(key)
@@ -169,9 +191,46 @@ def _classical_correction(h: np.ndarray, syndromes: np.ndarray) -> np.ndarray:
             idx = int(np.dot(np.array(syn_key, dtype=np.int64), weights))
             table[idx] = err
         _CORRECTION_CACHE[key] = table
+    return table
+
+
+def _classical_correction(h: np.ndarray, syndromes: np.ndarray) -> np.ndarray:
+    """Vectorized min-weight classical decoding: map each row of
+    ``syndromes`` (shape (shots, m)) to a length-n error pattern."""
     weights = 1 << np.arange(h.shape[0])
     idx = np.atleast_2d(syndromes).astype(np.int64) @ weights
-    return table[idx]
+    return _correction_table(h)[idx]
+
+
+def _corrected_parities_packed(
+    h: np.ndarray, frame: np.ndarray, supports: list[np.ndarray]
+) -> list[np.ndarray]:
+    """Per support, the packed plane of shots where ``frame``, corrected by
+    :func:`_classical_correction` from its ``h`` syndrome, has odd overlap
+    with the support.
+
+    ``frame`` is ``(n, words)`` uint64.  The syndrome planes are XORs of
+    frame rows.  Syndrome ``v`` matches a shot where every syndrome plane
+    equals bit ``j`` of ``v``; its correction flips a support's parity
+    when the table row has odd overlap with the support.
+    """
+    table = _correction_table(h)
+    syndrome = [np.bitwise_xor.reduce(frame[row == 1], axis=0) for row in h]
+    matches: dict[int, np.ndarray] = {}
+
+    def match(v: int) -> np.ndarray:
+        if v not in matches:
+            planes = [s if (v >> j) & 1 else ~s for j, s in enumerate(syndrome)]
+            matches[v] = np.bitwise_and.reduce(planes)
+        return matches[v]
+
+    out = []
+    for support in supports:
+        parity = np.bitwise_xor.reduce(frame[support == 1], axis=0)
+        for v in np.flatnonzero(table.astype(np.int64) @ support & 1):
+            parity = parity ^ match(int(v))
+        out.append(parity)
+    return out
 
 
 def _quotient_basis(h_kernel_of: np.ndarray, h_modulo: np.ndarray) -> list[np.ndarray]:

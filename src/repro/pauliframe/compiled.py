@@ -14,8 +14,15 @@ XOR touches 64 shots.  Two compile-time transformations carry the speedup:
   two-qubit gate, measurement, preparation, storage).  At run time each
   class is sampled in *one* vectorized draw covering all of its locations,
   instead of one RNG call per operation.  Below ``_SPARSE_MAX_P`` the draw
-  uses exact geometric-gap (skip) sampling, so its cost scales with the
-  expected number of faults rather than locations x shots.
+  uses exact geometric-gap (skip) sampling and the class becomes a *hit
+  table*: the sorted unique ``(location, word)`` keys some fault hit, one
+  OR-merged ``uint64`` mask per plane for each key, and per-location spans.
+  A noise instruction then XORs only its hit words into the frames, so
+  sampling and application both scale with the expected number of faults
+  rather than locations x shots.  Above ``_SPARSE_MAX_P`` the class is
+  drawn as dense ``(locations, words)`` planes and XORed row by row.  The
+  representation is chosen once per class per run; the RNG calls and
+  their order are the same either way.
 
 Semantics match the legacy interpreter in ``engine.py`` exactly on
 deterministic paths (no noise, arbitrary initial frames and fault
@@ -107,11 +114,12 @@ _SPARSE_MAX_P = 0.05
 
 
 # ----------------------------------------------------------------------
-# Noise-plane sampling.  One call per channel class per run, in a fixed
-# order; fault injections never touch the RNG.
+# Noise sampling.  One draw per channel class per run, in a fixed order;
+# fault injections never touch the RNG.  Each class comes back as either
+# dense planes or a sparse hit table; both apply through ``apply``.
 # ----------------------------------------------------------------------
 def _bernoulli_positions(rng: np.random.Generator, total: int, p: float) -> np.ndarray:
-    """Indices in ``[0, total)`` hit by independent Bernoulli(p) trials.
+    """Sorted indices in ``[0, total)`` hit by independent Bernoulli(p) trials.
 
     Exact skip sampling: gaps between successive hits are geometric, so the
     cost is O(total * p) instead of O(total).
@@ -133,18 +141,76 @@ def _bernoulli_positions(rng: np.random.Generator, total: int, p: float) -> np.n
     return out[out < total]
 
 
-def _scatter(
-    count: int, nwords: int, loc: np.ndarray, shot: np.ndarray, sel: np.ndarray | None = None
-) -> np.ndarray:
-    """OR single bits (loc, shot) into a zeroed ``(count, nwords)`` plane."""
-    planes = np.zeros((count, nwords), dtype=np.uint64)
-    if sel is not None:
-        loc = loc[sel]
-        shot = shot[sel]
-    if loc.size:
+class _DensePlanes:
+    """One channel class as dense ``(locations, words)`` planes.
+
+    ``targets`` holds, per plane, the packed buffer it lands in and the
+    buffer row of every location.
+    """
+
+    def __init__(self, targets: tuple, *planes: np.ndarray) -> None:
+        self.planes = [(dst, rows, plane) for (dst, rows), plane in zip(targets, planes)]
+
+    def apply(self, lo: int, size: int, where: np.ndarray | None = None) -> None:
+        """XOR locations ``[lo, lo + size)`` of every plane into its buffer;
+        ``where`` (one ``(words,)`` plane) keeps only the shots it sets."""
+        for dst, rows, plane in self.planes:
+            hits = plane[lo : lo + size]
+            dst[rows[lo : lo + size]] ^= hits if where is None else hits & where
+
+
+class _HitTable:
+    """One channel class as the words some fault hit, and nothing else.
+
+    ``idx`` are the sorted hit positions ``location * shots + shot``; plane
+    ``p`` keeps the hits where ``selectors[p]`` is set (``None``: all) and
+    lands as ``targets`` says (see :class:`_DensePlanes`).  The hits are
+    merged into sorted unique ``(location, word)`` keys, with one OR-merged
+    ``uint64`` mask per plane and key; the keys of location ``l`` are
+    ``[start[l], start[l + 1])``.  Each plane keeps the flat position of
+    every key in its C-contiguous buffer.
+    """
+
+    def __init__(
+        self, targets: tuple, count: int, shots: int, idx: np.ndarray, selectors: tuple = (None,)
+    ) -> None:
+        nwords = words_for(shots)
+        loc, shot = np.divmod(idx, shots)
+        word = shot >> 6
+        # idx is sorted, so the keys are too: a key starts where one changes.
+        key = loc * nwords + word
+        new = np.ones(key.size, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        first = np.flatnonzero(new)
         bits = np.uint64(1) << (shot & 63).astype(np.uint64)
-        np.bitwise_or.at(planes, (loc, shot >> 6), bits)
-    return planes
+        loc = loc[first]
+        self.word = word[first]
+        self.start = np.searchsorted(loc, np.arange(count + 1)).tolist()
+        self.planes = [
+            (
+                dst.reshape(-1),
+                rows[loc] * nwords + self.word,
+                np.bitwise_or.reduceat(bits if sel is None else bits * sel, first),
+            )
+            for (dst, rows), sel in zip(targets, selectors)
+        ]
+
+    def apply(self, lo: int, size: int, where: np.ndarray | None = None) -> None:
+        """Same contract as :meth:`_DensePlanes.apply`, touching hit words only.
+
+        The keys of one call are unique and its locations land on distinct
+        rows (``progcheck`` refuses a noise instruction that repeats a row),
+        so no fancy-indexed XOR below repeats an element.
+        """
+        a, b = self.start[lo], self.start[lo + size]
+        if a == b:
+            return
+        for flat, pos, mask in self.planes:
+            hits = mask[a:b]
+            flat[pos[a:b]] ^= hits if where is None else hits & where[self.word[a:b]]
+
+
+_NO_HITS = np.empty(0, dtype=np.int64)
 
 
 def _conditional_kind(u: np.ndarray, p: float, sides: int) -> np.ndarray:
@@ -157,50 +223,40 @@ def _conditional_kind(u: np.ndarray, p: float, sides: int) -> np.ndarray:
     return np.minimum((u * (sides / p)).astype(np.int64), sides - 1)
 
 
-def _depolarize_planes(
-    rng: np.random.Generator, count: int, shots: int, p: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """X/Z flip planes for ``count`` uniform-X/Y/Z depolarizing locations."""
-    nwords = words_for(shots)
+def _depolarize_noise(
+    rng: np.random.Generator, targets: tuple, count: int, shots: int, p: float
+) -> _DensePlanes | _HitTable:
+    """X/Z noise of ``count`` uniform-X/Y/Z depolarizing locations."""
     if count == 0 or p <= 0.0:
-        empty = np.zeros((count, nwords), dtype=np.uint64)
-        return empty, empty.copy()
+        return _HitTable(targets, count, shots, _NO_HITS)
     if p > _SPARSE_MAX_P:
         u = rng.random((count, shots))
         hit = u < p
         kind = _conditional_kind(u, p, 3)  # 0: X, 1: Y, 2: Z
-        return pack_rows(hit & (kind != 2)), pack_rows(hit & (kind != 0))
+        return _DensePlanes(targets, pack_rows(hit & (kind != 2)), pack_rows(hit & (kind != 0)))
     idx = _bernoulli_positions(rng, count * shots, p)
     kind = rng.integers(0, 3, size=idx.size)
-    loc, shot = idx // shots, idx % shots
-    return (
-        _scatter(count, nwords, loc, shot, kind != 2),
-        _scatter(count, nwords, loc, shot, kind != 0),
-    )
+    return _HitTable(targets, count, shots, idx, (kind != 2, kind != 0))
 
 
-def _bernoulli_planes(
-    rng: np.random.Generator, count: int, shots: int, p: float
-) -> np.ndarray:
-    """Flip planes for ``count`` plain Bernoulli(p) locations (meas/prep)."""
-    nwords = words_for(shots)
+def _bernoulli_noise(
+    rng: np.random.Generator, targets: tuple, count: int, shots: int, p: float
+) -> _DensePlanes | _HitTable:
+    """Flip noise of ``count`` plain Bernoulli(p) locations (meas/prep)."""
     if count == 0 or p <= 0.0:
-        return np.zeros((count, nwords), dtype=np.uint64)
+        return _HitTable(targets, count, shots, _NO_HITS)
     if p > _SPARSE_MAX_P:
-        return pack_rows(rng.random((count, shots)) < p)
-    idx = _bernoulli_positions(rng, count * shots, p)
-    return _scatter(count, nwords, idx // shots, idx % shots)
+        return _DensePlanes(targets, pack_rows(rng.random((count, shots)) < p))
+    return _HitTable(targets, count, shots, _bernoulli_positions(rng, count * shots, p))
 
 
-def _two_qubit_planes(
-    rng: np.random.Generator, count: int, shots: int, noise: NoiseModel
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(ax, az, bx, bz) planes for ``count`` two-qubit gate locations."""
+def _two_qubit_noise(
+    rng: np.random.Generator, targets: tuple, count: int, shots: int, noise: NoiseModel
+) -> _DensePlanes | _HitTable:
+    """(ax, az, bx, bz) noise of ``count`` two-qubit gate locations."""
     p = noise.eps_gate2
-    nwords = words_for(shots)
     if count == 0 or p <= 0.0:
-        empty = np.zeros((count, nwords), dtype=np.uint64)
-        return empty, empty.copy(), empty.copy(), empty.copy()
+        return _HitTable(targets, count, shots, _NO_HITS)
     if noise.two_qubit_mode == "both_damaged":
         # §5's pessimistic model: one hit draws an independent uniform
         # non-trivial-or-not X/Y/Z on each touched qubit.
@@ -209,7 +265,8 @@ def _two_qubit_planes(
             hit = u < p
             kind_a = _conditional_kind(u, p, 3)
             kind_b = rng.integers(0, 3, size=(count, shots))
-            return (
+            return _DensePlanes(
+                targets,
                 pack_rows(hit & (kind_a != 2)),
                 pack_rows(hit & (kind_a != 0)),
                 pack_rows(hit & (kind_b != 2)),
@@ -218,50 +275,29 @@ def _two_qubit_planes(
         idx = _bernoulli_positions(rng, count * shots, p)
         kind_a = rng.integers(0, 3, size=idx.size)
         kind_b = rng.integers(0, 3, size=idx.size)
-        loc, shot = idx // shots, idx % shots
-        return (
-            _scatter(count, nwords, loc, shot, kind_a != 2),
-            _scatter(count, nwords, loc, shot, kind_a != 0),
-            _scatter(count, nwords, loc, shot, kind_b != 2),
-            _scatter(count, nwords, loc, shot, kind_b != 0),
+        return _HitTable(
+            targets, count, shots, idx, (kind_a != 2, kind_a != 0, kind_b != 2, kind_b != 0)
         )
     # depolarizing15: uniform over the 15 nontrivial pair Paulis.
     if p > _SPARSE_MAX_P:
         u = rng.random((count, shots))
-        hit = u < p
-        pair = np.where(hit, _conditional_kind(u, p, 15) + 1, 0)
-    else:
-        idx = _bernoulli_positions(rng, count * shots, p)
-        pair_sparse = rng.integers(1, 16, size=idx.size)
-        loc, shot = idx // shots, idx % shots
-        return (
-            _scatter(count, nwords, loc, shot, ((pair_sparse >> 3) & 1) == 1),
-            _scatter(count, nwords, loc, shot, ((pair_sparse >> 2) & 1) == 1),
-            _scatter(count, nwords, loc, shot, ((pair_sparse >> 1) & 1) == 1),
-            _scatter(count, nwords, loc, shot, (pair_sparse & 1) == 1),
-        )
-    return (
-        pack_rows((pair >> 3) & 1),
-        pack_rows((pair >> 2) & 1),
-        pack_rows((pair >> 1) & 1),
-        pack_rows(pair & 1),
-    )
+        pair = np.where(u < p, _conditional_kind(u, p, 15) + 1, 0)
+        return _DensePlanes(targets, *(pack_rows((pair >> bit) & 1) for bit in (3, 2, 1, 0)))
+    idx = _bernoulli_positions(rng, count * shots, p)
+    pair = rng.integers(1, 16, size=idx.size)
+    selectors = tuple(((pair >> bit) & 1) == 1 for bit in (3, 2, 1, 0))
+    return _HitTable(targets, count, shots, idx, selectors)
 
 
 @dataclass
-class _Planes:
-    """Pre-sampled packed noise bit-planes for one run, by channel class."""
+class _Noise:
+    """Pre-sampled noise for one run, by channel class."""
 
-    g1x: np.ndarray
-    g1z: np.ndarray
-    g2ax: np.ndarray
-    g2az: np.ndarray
-    g2bx: np.ndarray
-    g2bz: np.ndarray
-    meas: np.ndarray
-    prep: np.ndarray
-    storex: np.ndarray
-    storez: np.ndarray
+    g1: _DensePlanes | _HitTable
+    g2: _DensePlanes | _HitTable
+    meas: _DensePlanes | _HitTable
+    prep: _DensePlanes | _HitTable
+    store: _DensePlanes | _HitTable
 
 
 class CompiledFrameProgram:
@@ -314,6 +350,9 @@ class CompiledFrameProgram:
         # order; fault injection places its points with this table.
         batches: list[tuple[int, int, int]] = []
         counts = {"g1": 0, "g2": 0, "meas": 0, "prep": 0, "store": 0}
+        # The buffer row each noise location lands on, by location, per
+        # plane role ("g2a"/"g2b": the two qubits of a two-qubit gate).
+        rows: dict[str, list] = {k: [] for k in ("g1", "g2a", "g2b", "meas", "prep", "store")}
         # Current fusion batch.
         state = {"kind": None, "first_op": 0}
         q1: list[int] = []
@@ -338,18 +377,23 @@ class CompiledFrameProgram:
                 if noise.eps_meas > 0:
                     instrs.append((_OP_NM, idx2, counts["meas"], size))
                     counts["meas"] += size
+                    rows["meas"].append(idx2)
             elif kind == "R":
                 instrs.append((_OP_R, idx1))
                 if noise.eps_prep > 0:
                     instrs.append((_OP_NP, idx1, counts["prep"], size))
                     counts["prep"] += size
+                    rows["prep"].append(idx1)
             # "P1" (bare Paulis) emit no frame instruction, only gate noise.
             if kind in ("H", "S", "RP", "P1") and noise.eps_gate1 > 0:
                 instrs.append((_OP_NG1, idx1, counts["g1"], size))
                 counts["g1"] += size
+                rows["g1"].append(idx1)
             elif kind in ("CNOT", "CZ", "CY", "SWAP") and noise.eps_gate2 > 0:
                 instrs.append((_OP_NG2, idx1, idx2, counts["g2"], size))
                 counts["g2"] += size
+                rows["g2a"].append(idx1)
+                rows["g2b"].append(idx2)
             batches.append((state["first_op"], start, len(instrs)))
             state["kind"] = None
             q1.clear()
@@ -367,11 +411,13 @@ class CompiledFrameProgram:
                     if noise.eps_store > 0:
                         instrs.append((_OP_NSTORE, counts["store"]))
                         counts["store"] += num_qubits
+                        rows["store"].append(np.arange(num_qubits))
                 else:
                     loc = -1
                     if noise.eps_gate1 > 0:
                         loc = counts["g1"]
                         counts["g1"] += 1
+                        rows["g1"].append(np.array(op.qubits[:1]))
                     instrs.append(
                         (
                             _OP_COND,
@@ -406,6 +452,10 @@ class CompiledFrameProgram:
         flush()
         self._instructions = instrs
         self._counts = counts
+        self._noise_rows = {
+            k: np.concatenate([np.empty(0, dtype=np.intp), *v], dtype=np.intp)
+            for k, v in rows.items()
+        }
         self._batches = batches
 
     def _injection_points(self, op_index: np.ndarray, qubit: np.ndarray) -> np.ndarray:
@@ -437,14 +487,30 @@ class CompiledFrameProgram:
         return point
 
     # ------------------------------------------------------------------
-    def _sample_planes(self, rng: np.random.Generator, shots: int) -> _Planes:
-        counts, noise = self._counts, self.noise
-        g1x, g1z = _depolarize_planes(rng, counts["g1"], shots, noise.eps_gate1)
-        g2ax, g2az, g2bx, g2bz = _two_qubit_planes(rng, counts["g2"], shots, noise)
-        meas = _bernoulli_planes(rng, counts["meas"], shots, noise.eps_meas)
-        prep = _bernoulli_planes(rng, counts["prep"], shots, noise.eps_prep)
-        storex, storez = _depolarize_planes(rng, counts["store"], shots, noise.eps_store)
-        return _Planes(g1x, g1z, g2ax, g2az, g2bx, g2bz, meas, prep, storex, storez)
+    def _sample_planes(
+        self, rng: np.random.Generator, shots: int, fx: np.ndarray, fz: np.ndarray, flips: np.ndarray
+    ) -> _Noise:
+        """One draw per channel class, bound to the buffers it lands in: a
+        hit table below ``_SPARSE_MAX_P``, dense planes above it."""
+        counts, noise, rows = self._counts, self.noise, self._noise_rows
+        g1, g2a, g2b, store = rows["g1"], rows["g2a"], rows["g2b"], rows["store"]
+        return _Noise(
+            g1=_depolarize_noise(
+                rng, ((fx, g1), (fz, g1)), counts["g1"], shots, noise.eps_gate1
+            ),
+            g2=_two_qubit_noise(
+                rng, ((fx, g2a), (fz, g2a), (fx, g2b), (fz, g2b)), counts["g2"], shots, noise
+            ),
+            meas=_bernoulli_noise(
+                rng, ((flips, rows["meas"]),), counts["meas"], shots, noise.eps_meas
+            ),
+            prep=_bernoulli_noise(
+                rng, ((fx, rows["prep"]),), counts["prep"], shots, noise.eps_prep
+            ),
+            store=_depolarize_noise(
+                rng, ((fx, store), (fz, store)), counts["store"], shots, noise.eps_store
+            ),
+        )
 
     # ------------------------------------------------------------------
     def new_buffers(self, shots: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -467,26 +533,37 @@ class CompiledFrameProgram:
         """Execute in place over caller-provided packed buffers.
 
         ``fx``/``fz`` carry the initial frames on entry and the residual
-        frames on exit; ``flips`` is zeroed here before execution.  Buffers
-        must have ``words_for(shots)`` columns (reuse across rounds is the
-        point of this entry).  ``fault_injections`` (format as in
-        :meth:`FrameSimulator.run`) is validated before any buffer is
-        touched, then XORed in at its injection points between segments of
-        the fused stream; noise sampling is the same with or without it.
+        frames on exit; ``flips`` is zeroed here before execution.  All
+        three must be C-contiguous ``uint64`` with ``words_for(shots)``
+        columns, shaped as :meth:`new_buffers` makes them (reuse across
+        rounds is the point of this entry); anything else raises
+        ``ValueError`` before the RNG or any buffer is touched.
+        ``fault_injections`` (format as in :meth:`FrameSimulator.run`) is
+        validated as early, then XORed in at its injection points between
+        segments of the fused stream; noise sampling is the same with or
+        without it.
         """
-        rng = as_rng(rng)
         num_qubits = self.circuit.num_qubits
         nwords = words_for(shots)
-        if fx.shape != (num_qubits, nwords) or fz.shape != fx.shape:
-            raise ValueError(f"frame buffers must be ({num_qubits}, {nwords}) uint64")
+        for name, buf, rows in (
+            ("fx", fx, num_qubits),
+            ("fz", fz, num_qubits),
+            ("flips", flips, max(1, self.circuit.num_cbits)),
+        ):
+            if buf.dtype != np.uint64 or buf.shape != (rows, nwords) or not buf.flags.c_contiguous:
+                raise ValueError(
+                    f"{name} must be a C-contiguous ({rows}, {nwords}) uint64 buffer,"
+                    f" got {buf.shape} {buf.dtype}"
+                )
         if fault_injections is not None:
             shot, op_index, qubit, xbit, zbit = normalize_fault_injections(
                 fault_injections, shots, self.compiled_ops, num_qubits
             )
+        rng = as_rng(rng)
         flips[:] = 0
-        planes = self._sample_planes(rng, shots)
+        noise = self._sample_planes(rng, shots, fx, fz, flips)
         if fault_injections is None:
-            self._execute(self._instructions, fx, fz, flips, planes)
+            self._execute(self._instructions, fx, fz, flips, noise)
             return
         point = self._injection_points(op_index, qubit)
         order = np.argsort(point, kind="stable")
@@ -499,11 +576,11 @@ class CompiledFrameProgram:
         done = 0
         for lo, hi in zip(starts, starts[1:] + [len(point)]):
             at = int(point[lo])
-            self._execute(self._instructions[done:at], fx, fz, flips, planes)
+            self._execute(self._instructions[done:at], fx, fz, flips, noise)
             np.bitwise_xor.at(fx, (qubit[lo:hi], word[lo:hi]), xbits[lo:hi])
             np.bitwise_xor.at(fz, (qubit[lo:hi], word[lo:hi]), zbits[lo:hi])
             done = at
-        self._execute(self._instructions[done:], fx, fz, flips, planes)
+        self._execute(self._instructions[done:], fx, fz, flips, noise)
 
     def run(
         self,
@@ -538,8 +615,9 @@ class CompiledFrameProgram:
         fx: np.ndarray,
         fz: np.ndarray,
         flips: np.ndarray,
-        pl: _Planes,
+        noise: _Noise,
     ) -> None:
+        num_qubits = fx.shape[0]
         for ins in instrs:
             op = ins[0]
             if op == _OP_CNOT:
@@ -556,31 +634,19 @@ class CompiledFrameProgram:
                 fx[qs] = fz[qs]
                 fz[qs] = tmp
             elif op == _OP_NG1:
-                _, qs, lo, size = ins
-                fx[qs] ^= pl.g1x[lo : lo + size]
-                fz[qs] ^= pl.g1z[lo : lo + size]
+                noise.g1.apply(ins[2], ins[3])
             elif op == _OP_NG2:
-                _, qa, qb, lo, size = ins
-                sl = slice(lo, lo + size)
-                fx[qa] ^= pl.g2ax[sl]
-                fz[qa] ^= pl.g2az[sl]
-                fx[qb] ^= pl.g2bx[sl]
-                fz[qb] ^= pl.g2bz[sl]
+                noise.g2.apply(ins[3], ins[4])
             elif op == _OP_R:
                 qs = ins[1]
                 fx[qs] = 0
                 fz[qs] = 0
             elif op == _OP_NM:
-                _, cs, lo, size = ins
-                flips[cs] ^= pl.meas[lo : lo + size]
+                noise.meas.apply(ins[2], ins[3])
             elif op == _OP_NP:
-                _, qs, lo, size = ins
-                fx[qs] ^= pl.prep[lo : lo + size]
+                noise.prep.apply(ins[2], ins[3])
             elif op == _OP_NSTORE:
-                lo = ins[1]
-                n = fx.shape[0]
-                fx ^= pl.storex[lo : lo + n]
-                fz ^= pl.storez[lo : lo + n]
+                noise.store.apply(ins[1], num_qubits)
             elif op == _OP_S:
                 qs = ins[1]
                 fz[qs] ^= fx[qs]
@@ -617,7 +683,6 @@ class CompiledFrameProgram:
                     fz[qubit] ^= mask
                 if loc >= 0:
                     # The conditional Pauli is physical only where it fires.
-                    fx[qubit] ^= pl.g1x[loc] & mask
-                    fz[qubit] ^= pl.g1z[loc] & mask
+                    noise.g1.apply(loc, 1, where=mask)
             else:  # pragma: no cover
                 raise AssertionError(f"bad opcode {op}")

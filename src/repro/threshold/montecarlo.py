@@ -22,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.codes.css import CSSCode
 from repro.codes.stabilizer_code import StabilizerCode
 from repro.pauliframe.packing import unpack_shot_major, words_for
 from repro.util.rng import as_rng
@@ -86,15 +87,31 @@ def _wants_sharded(resilience: dict) -> bool:
     )
 
 
-def _finalize(code: StabilizerCode, fx: np.ndarray, fz: np.ndarray, rounds: int) -> MemoryResult:
-    cfx, cfz = code.correct_frame(fx, fz)
-    action = code.logical_action_of_frame(cfx, cfz)
-    failures = int(action.any(axis=1).sum())
-    shots = fx.shape[0]
+def _result(rounds: int, shots: int, failures: int) -> MemoryResult:
     est, low, high = binomial_confidence(failures, shots)
     return MemoryResult(
         rounds, shots, failures, est, low, high, logical_error_per_round(est, rounds)
     )
+
+
+def _finalize(code: StabilizerCode, fx: np.ndarray, fz: np.ndarray, rounds: int) -> MemoryResult:
+    """Ideal decode of unpacked ``(shots, n)`` residual frames."""
+    cfx, cfz = code.correct_frame(fx, fz)
+    action = code.logical_action_of_frame(cfx, cfz)
+    return _result(rounds, fx.shape[0], int(action.any(axis=1).sum()))
+
+
+def _finalize_packed(
+    code: StabilizerCode, fx: np.ndarray, fz: np.ndarray, shots: int, rounds: int
+) -> MemoryResult:
+    """Ideal decode of packed ``(n, words)`` residual frames.
+
+    CSS codes count failures on the packed planes; any other code is
+    unpacked and decoded by :func:`_finalize`.
+    """
+    if isinstance(code, CSSCode):
+        return _result(rounds, shots, code.logical_failures_packed(fx, fz, shots))
+    return _finalize(code, unpack_shot_major(fx, shots), unpack_shot_major(fz, shots), rounds)
 
 
 def code_capacity_memory(
@@ -144,11 +161,7 @@ def code_capacity_memory(
         logical_fz ^= action[:, 1]
         fx[:] = 0
         fz[:] = 0
-    failures = int((logical_fx | logical_fz).sum())
-    est, low, high = binomial_confidence(failures, shots)
-    return MemoryResult(
-        rounds, shots, failures, est, low, high, logical_error_per_round(est, rounds)
-    )
+    return _result(rounds, shots, int((logical_fx | logical_fz).sum()))
 
 
 def memory_experiment(
@@ -193,9 +206,7 @@ def memory_experiment(
         dfz = np.zeros((n, nwords), dtype=np.uint64)
         for _ in range(rounds):
             protocol.run_round_packed(shots, rng, dfx, dfz)
-        fx = unpack_shot_major(dfx, shots)
-        fz = unpack_shot_major(dfz, shots)
-        return _finalize(code, fx, fz, rounds)
+        return _finalize_packed(code, dfx, dfz, shots, rounds)
     fx = fz = None
     for _ in range(rounds):
         fx, fz = protocol.run_round(shots, rng, data_fx=fx, data_fz=fz)

@@ -11,11 +11,16 @@ Two agreement regimes, mirroring the engine's contract:
   Wilson 95% intervals.
 
 Plus packing round-trips, a seeded-determinism regression (same seed ⇒
-identical results, run to run and with vs without fault injections) and the
+identical results, run to run and with vs without fault injections), golden
+SHA-256 digests that pin seeded noisy output bit for bit, ``run_packed``'s
+refusal of misshapen or mistyped buffers, and the
 fault-injection contract: packed faults placed in the fused stream match
 the legacy per-op injection bit for bit, and malformed specs are refused
 before any buffer is touched.
 """
+
+import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -333,6 +338,121 @@ class TestSeededDeterminism:
         r2 = memory_experiment(proto, SteaneCode(), rounds=3, shots=2000, seed=7)
         assert r1.failures == r2.failures
         assert r1.failure_rate == r2.failure_rate
+
+
+class TestRunPackedBuffers:
+    """``run_packed`` refuses a buffer it would misuse, before it draws
+    from the RNG or writes to any buffer."""
+
+    SHOTS = 640
+
+    @staticmethod
+    def _bad(buf, kind):
+        if kind == "uint8":
+            return np.zeros(buf.shape, dtype=np.uint8)
+        if kind == "uint64 rows":
+            return np.zeros((buf.shape[0] + 1, buf.shape[1]), dtype=np.uint64)
+        if kind == "uint64 words":
+            return np.zeros((buf.shape[0], buf.shape[1] - 1), dtype=np.uint64)
+        return np.zeros((buf.shape[0], 2 * buf.shape[1]), dtype=np.uint64)[:, ::2]
+
+    @pytest.mark.parametrize("kind", ["uint8", "uint64 rows", "uint64 words", "strided"])
+    @pytest.mark.parametrize("which", [0, 1, 2], ids=["fx", "fz", "flips"])
+    def test_bad_buffer_is_refused(self, which, kind):
+        c = Circuit(3, 2).h(0).cnot(0, 1).cnot(1, 2).measure(0, 0).measure(2, 1)
+        prog = CompiledFrameProgram(c, circuit_level(0.2))
+        bufs = list(prog.new_buffers(self.SHOTS))
+        bufs[which] = self._bad(bufs[which], kind)
+        for buf in bufs:
+            buf[...] = 1
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=["fx", "fz", "flips"][which]):
+            prog.run_packed(self.SHOTS, rng, *bufs)
+        assert rng.bit_generator.state == state
+        assert all((buf == 1).all() for buf in bufs)
+
+    def test_flips_needs_one_row_without_cbits(self):
+        prog = CompiledFrameProgram(Circuit(2, 0).h(0).cnot(0, 1), circuit_level(0.2))
+        fx, fz, flips = prog.new_buffers(self.SHOTS)
+        assert flips.shape == (1, words_for(self.SHOTS))
+        with pytest.raises(ValueError, match="flips"):
+            prog.run_packed(self.SHOTS, 0, fx, fz, flips[:0])
+        prog.run_packed(self.SHOTS, 0, fx, fz, flips)
+
+
+def golden_circuit():
+    """200 random ops on 8 qubits, with TICKs and conditional Paulis."""
+    return random_clifford_circuit(
+        np.random.default_rng(2024), num_qubits=8, num_cbits=6, depth=200, conditional=True
+    )
+
+
+def packed_digest(noise, shots, seed, initial=False, fault_injections=None):
+    """SHA-256 of ``run_packed``'s (fx, fz, flips) on the golden circuit."""
+    c = golden_circuit()
+    prog = CompiledFrameProgram(c, noise)
+    fx, fz, flips = prog.new_buffers(shots)
+    if initial:
+        rng = np.random.default_rng(5)
+        fx ^= pack_shot_major(rng.integers(0, 2, (shots, c.num_qubits), dtype=np.uint8))
+        fz ^= pack_shot_major(rng.integers(0, 2, (shots, c.num_qubits), dtype=np.uint8))
+    prog.run_packed(shots, seed, fx, fz, flips, fault_injections)
+    return hashlib.sha256(fx.tobytes() + fz.tobytes() + flips.tobytes()).hexdigest()
+
+
+class TestGoldenDigests:
+    """Seeded output pinned bit for bit: a change to noise sampling or its
+    application that keeps the statistics but moves one bit fails here."""
+
+    # Recorded with dense OR-scattered noise planes, before hit tables.
+    @pytest.mark.parametrize(
+        "eps, mode, shots, digest",
+        [
+            (1e-4, "both_damaged", 2011, "c9c3010c6b26f4e04f2cb0cf18c3bdf24cce0d1c1f3959d3de066f48e70376e2"),
+            (1e-4, "both_damaged", 64, "eea0b8d8bc0ede6f5435cf3fcb1fc116bbe448186286f1ee8db5f7ef8d2c2bc2"),
+            (1e-4, "depolarizing15", 2011, "ab4dfd01533751529f61cb609fa8de129f9ca93c61e8ea618fc8032d2b8b7159"),
+            (1e-4, "depolarizing15", 64, "b92e4f683896e41be10c9c6d01f8a75f40b19a835c0d4f96c7a8f07b8df40423"),
+            (1e-3, "both_damaged", 2011, "74c0664383b968ecb966786b6be3ea1bf3916a67225e51d87411c38fb4facec7"),
+            (1e-3, "both_damaged", 64, "ab863907a1ef1cf4bde13b53528315411ee8c293738d26e3af4a4c6e01ad8096"),
+            (1e-3, "depolarizing15", 2011, "70134d7e30ef47affadf37969e4519a0b2129c7553aa96ecdedcd72fce1d76e4"),
+            (1e-3, "depolarizing15", 64, "7d335da106d944091434efcecd66ab4587684c11f4b95ca81bb79b936d676f2f"),
+            (0.02, "both_damaged", 2011, "82e6ddb1e3ab32a30fc79a2245c075313cb131c9f76322924f7c5eea99f2fb75"),
+            (0.02, "both_damaged", 64, "cbb6cf834a436953e29a0e7080ed2d04f0a78f0b9ee9ae73d558b86fe723c6a3"),
+            (0.02, "depolarizing15", 2011, "be801de734c6a24e7e1f6761237737b0eb2735f9ffb6e785345296cd89fa31f1"),
+            (0.02, "depolarizing15", 64, "7d2824d43d7d7afbb1437679377f602071b4eaff32294a8ddd80d6f0ece74520"),
+            (0.1, "both_damaged", 2011, "0cdcab59d336f02595fee343108435c074cff37e7213ddca8bcebda5be525bc4"),
+            (0.1, "both_damaged", 64, "c3b86f9296fccc21679128afb319f29eb0381b8124fec0e2206b7135f0a80aff"),
+            (0.1, "depolarizing15", 2011, "636a737482b31ab3db07df8cc993222f0e13b79db3414fd42c735e54db26d736"),
+            (0.1, "depolarizing15", 64, "b40fcfa893632df5c0504147bab58d4367fc9ce2562e1c37a75f0c951af1044d"),
+        ],
+    )
+    def test_circuit_level_digest(self, eps, mode, shots, digest):
+        c = golden_circuit()
+        assert any(op.gate == "TICK" for op in c) and any(op.condition for op in c)
+        noise = dataclasses.replace(circuit_level(eps), two_qubit_mode=mode)
+        assert packed_digest(noise, shots, seed=99) == digest
+
+    def test_mixed_dense_and_sparse_classes_digest(self):
+        # Gate-1 and measurement noise above the sparse cutoff, gate-2 and
+        # storage below it, preparation off; random initial frames.
+        noise = NoiseModel(eps_gate1=0.1, eps_gate2=1e-3, eps_meas=0.3, eps_prep=0.0, eps_store=0.01)
+        assert packed_digest(noise, 1000, seed=7, initial=True) == (
+            "205303a5183a884ec7c9fdf577349d7e9868714e18e95bd35053db3ba5585781"
+        )
+
+    def test_noise_with_fault_injections_digest(self):
+        n = len(golden_circuit())
+        faults = [[(i % n, i % 8, "XYZ"[i % 3])] for i in range(1000)]
+        assert packed_digest(circuit_level(1e-3), 1000, seed=8, fault_injections=faults) == (
+            "d8bc89e24d962f01c1b7111de4910be895b8735b46a13e706aed6369c66bd533"
+        )
+
+    @pytest.mark.parametrize("seed, failures", [(1, 231), (2, 243), (3, 230)])
+    def test_memory_experiment_failures(self, seed, failures):
+        proto = SteaneECProtocol(circuit_level(1e-3))
+        result = memory_experiment(proto, SteaneCode(), rounds=10, shots=3000, seed=seed)
+        assert result.failures == failures
 
 
 def wilson_compatible(k1, n1, k2, n2):

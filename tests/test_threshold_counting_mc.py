@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.codes import SteaneCode
+from repro.codes import FiveQubitCode, QuantumHammingCode, ShorNineCode, SteaneCode
+from repro.codes.css import CSSCode
 from repro.ft import SteaneECProtocol
 from repro.noise import circuit_level
 from repro.threshold import (
@@ -14,7 +15,9 @@ from repro.threshold import (
     pseudo_threshold,
     threshold_from_counting,
 )
+from repro.pauliframe import pack_shot_major
 from repro.threshold.counting import FullSteaneRound
+from repro.threshold.montecarlo import _finalize, _finalize_packed
 
 
 @pytest.fixture(scope="module")
@@ -108,3 +111,56 @@ class TestCircuitLevelMC:
         )
         assert len(curve) == 4
         assert 5e-5 < crossing < 3e-3
+
+
+def _random_frames(code, shots, density, seed):
+    rng = np.random.default_rng(seed)
+    fx = (rng.random((shots, code.n)) < density).astype(np.uint8)
+    fz = (rng.random((shots, code.n)) < density).astype(np.uint8)
+    return fx, fz
+
+
+class TestPackedFinalize:
+    """The packed CSS failure count equals the unpacked decode's."""
+
+    @pytest.mark.parametrize("density", [0.03, 0.4])
+    @pytest.mark.parametrize("shots", [1, 63, 64, 1000])
+    @pytest.mark.parametrize(
+        "code", [SteaneCode(), ShorNineCode(), QuantumHammingCode(4)], ids=lambda c: c.name
+    )
+    def test_packed_count_matches_unpacked_decode(self, code, shots, density, monkeypatch):
+        fx, fz = _random_frames(code, shots, density, seed=shots)
+        cfx, cfz = code.correct_frame(fx, fz)
+        expected = int(code.logical_action_of_frame(cfx, cfz).any(axis=1).sum())
+        dfx, dfz = pack_shot_major(fx), pack_shot_major(fz)
+        # Lanes past the last shot carry junk in real runs; it must not count.
+        if shots % 64:
+            junk = ~np.uint64((1 << (shots % 64)) - 1)
+            dfx[:, -1] |= junk
+            dfz[:, -1] |= junk
+        # The packed path must not fall back to the unpacked decoder.
+        monkeypatch.setattr(CSSCode, "correct_frame", None)
+        result = _finalize_packed(code, dfx, dfz, shots, rounds=2)
+        assert result.failures == expected
+        assert result.shots == shots
+
+    def test_packed_and_unpacked_results_agree(self):
+        code = SteaneCode()
+        fx, fz = _random_frames(code, 777, 0.1, seed=5)
+        packed = _finalize_packed(code, pack_shot_major(fx), pack_shot_major(fz), 777, rounds=3)
+        assert packed == _finalize(code, fx, fz, rounds=3)
+
+    def test_non_css_code_takes_the_unpack_path(self, monkeypatch):
+        code = FiveQubitCode()
+        fx, fz = _random_frames(code, 1000, 0.1, seed=41)
+        calls = []
+        decode = type(code).correct_frame
+
+        def spy(self, *args):
+            calls.append(1)
+            return decode(self, *args)
+
+        monkeypatch.setattr(type(code), "correct_frame", spy)
+        result = _finalize_packed(code, pack_shot_major(fx), pack_shot_major(fz), 1000, rounds=1)
+        assert calls
+        assert result.failures == 222  # the unpacked decode's count, pinned
